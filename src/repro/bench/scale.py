@@ -177,11 +177,12 @@ def run_scale_tier(
     setup_seconds = t1 - t0
     run_seconds = t2 - t1
     events = eng.sim.events_executed
+    events_per_sec = events / run_seconds if run_seconds > 0 else 0.0
     peak_rss = _peak_rss_mb()
     if log is not None:
         log(
             f"scale {n_users}: setup {setup_seconds:.1f}s, run {run_seconds:.1f}s, "
-            f"{events} events ({events / run_seconds:.0f}/s), "
+            f"{events} events ({events_per_sec:.0f}/s), "
             f"peak RSS {peak_rss:.0f} MiB"
         )
         for label, n, seconds, per_sec in counters.rows(EVENT_TYPE_ROWS):
@@ -214,7 +215,7 @@ def run_scale_tier(
         run_seconds=run_seconds,
         wall_seconds=setup_seconds + run_seconds,
         events_executed=events,
-        events_per_sec=events / run_seconds if run_seconds > 0 else 0.0,
+        events_per_sec=events_per_sec,
         queries=metrics.total_queries,
         hits=metrics.total_hits,
         peak_rss_mb=peak_rss,

@@ -150,6 +150,11 @@ def generate_libraries(
     sizes = np.minimum(sizes, max_possible)
 
     all_categories = np.arange(catalog.n_categories)
+    per_category = catalog.items_per_category
+    popularity = catalog.popularity
+    # One user's draws run as one batch; its work arrays live as long as
+    # this call, not as long as the catalog.
+    scratch = popularity.batch_scratch(1 + cfg.n_secondary)
     secondary: list[tuple[CategoryId, ...]] = []
     libraries: list[frozenset[ItemId]] = []
 
@@ -164,25 +169,20 @@ def generate_libraries(
 
         size = int(sizes[user])
         fav_count = int(round(size * cfg.favorite_fraction))
-        fav_count = min(fav_count, catalog.items_per_category)
+        fav_count = min(fav_count, per_category)
         remaining = size - fav_count
 
-        items: list[int] = []
-        base = fav * catalog.items_per_category
-        ranks = catalog.popularity.sample_distinct(rng, fav_count)
-        items.extend(base + ranks)
-
+        counts = [fav_count]
         if cfg.n_secondary > 0 and remaining > 0:
-            per_sec = _split_evenly(remaining, cfg.n_secondary)
-            for cat, count in zip(secs, per_sec):
-                count = min(count, catalog.items_per_category)
-                if count == 0:
-                    continue
-                base = int(cat) * catalog.items_per_category
-                ranks = catalog.popularity.sample_distinct(rng, count)
-                items.extend(base + ranks)
-
-        libraries.append(frozenset(ItemId(int(i)) for i in items))
+            counts += [min(c, per_category) for c in _split_evenly(remaining, cfg.n_secondary)]
+        drawn = popularity.sample_distinct_batch(rng, counts, scratch)
+        # Insertion order (favorite's ranks first, each category's best first)
+        # fixes the set's iteration order, which the engine's indexes inherit.
+        items: list[ItemId] = []
+        for cat, ranks in zip((fav, *secs), drawn):
+            base = cat * per_category
+            items += [ItemId(base + rank) for rank in ranks]
+        libraries.append(frozenset(items))
 
     return UserLibraries(catalog, favorite, secondary, libraries)
 

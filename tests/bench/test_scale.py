@@ -2,6 +2,7 @@
 the snapshot's ``scale`` block (including the peak-RSS memory column)."""
 
 import copy
+import types
 
 import pytest
 
@@ -69,6 +70,18 @@ class TestRunScaleTier:
         assert report.as_dict()["event_types"] == report.event_types
         # ... and the tier log names the hot classes.
         assert any("fastpath.search" in line for line in logs)
+
+    def test_zero_run_time_logs_zero_rate(self, monkeypatch):
+        # A clock too coarse to see the run: the log line divides like the
+        # report does, by the guarded value.
+        monkeypatch.setattr(
+            "repro.bench.scale.time", types.SimpleNamespace(perf_counter=lambda: 0.0)
+        )
+        logs = []
+        report = run_scale_tier(120, seed=1, log=logs.append)
+        assert report.run_seconds == 0.0
+        assert report.events_per_sec == 0.0
+        assert "(0/s)" in logs[0]
 
     def test_digest_skip_omits_gate_fields(self):
         report = run_scale_tier(120, seed=1, digest_check=False)

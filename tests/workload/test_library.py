@@ -1,9 +1,13 @@
 """Tests for the synthetic user-library generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.gnutella.config import GnutellaConfig
+from repro.rng import RngStreams
 from repro.workload.catalog import MusicCatalog
 from repro.workload.library import LibraryConfig, generate_libraries
 
@@ -121,6 +125,52 @@ class TestDeterminism:
         a = generate_libraries(catalog, np.random.default_rng(1), cfg)
         b = generate_libraries(catalog, np.random.default_rng(2), cfg)
         assert a.libraries != b.libraries
+
+
+def world_digest(pop):
+    """SHA-256 of who likes what and who holds what, set iteration order included."""
+    h = hashlib.sha256()
+    for user, lib in enumerate(pop.libraries):
+        favorite = int(pop.favorite[user])
+        secondary = tuple(int(c) for c in pop.secondary[user])
+        h.update(repr((favorite, secondary, [int(i) for i in lib])).encode())
+    return h.hexdigest()
+
+
+class TestPinnedWorlds:
+    """Absolute digests of generated worlds, taken at commit ecee57d.
+
+    Every committed event-stream digest, ``BENCH_*.json`` outcome field and
+    file under ``results/`` descends from these populations. The values
+    change only under the written re-baseline procedure of ROADMAP item 1
+    (a sampler with a new stream), never as a side effect.
+    """
+
+    def test_300_users_30000_items(self):
+        catalog = MusicCatalog(n_items=30_000, n_categories=50, theta=0.9)
+        pop = generate_libraries(catalog, np.random.default_rng(0), LibraryConfig(n_users=300))
+        assert world_digest(pop) == (
+            "2762a2ad1ddc659718e3bed9717227a12e7cd5e3c42d1295ae6db8ebc8b595d8"
+        )
+
+    def test_paper_preset_seed_0(self):
+        # The population FastGnutellaEngine builds for GnutellaConfig(seed=0).
+        cfg = GnutellaConfig(seed=0)
+        catalog = MusicCatalog(cfg.n_items, cfg.n_categories, cfg.zipf_theta)
+        pop = generate_libraries(
+            catalog,
+            RngStreams(cfg.seed).get("libraries"),
+            LibraryConfig(
+                n_users=cfg.n_users,
+                mean_size=cfg.mean_library,
+                std_size=cfg.std_library,
+                n_secondary=cfg.n_secondary,
+                user_category_theta=cfg.zipf_theta,
+            ),
+        )
+        assert world_digest(pop) == (
+            "43d57686aa142b2602f148fa396ced6bba2f5ff3fd1db65c4d2e5cb9d2e597ad"
+        )
 
 
 class TestEdgeCases:
