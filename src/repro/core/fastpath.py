@@ -37,7 +37,7 @@ with these structural replacements:
   Python-level loop;
 * **precomputed delay rows** (:meth:`~repro.net.latency.LatencyModel.
   delay_rows`): each result's path delay is reconstructed by plain
-  list-of-lists indexing instead of a method call per path edge.
+  ``rows[a][b]`` indexing instead of a method call per path edge.
 
 The reference :func:`~repro.core.search.generic_search` stays the semantics
 oracle. The fast path is an optimization, not a semantics change: for every
@@ -192,8 +192,9 @@ class FloodFastPath:
         later mutation **must** be mirrored through :meth:`add_holder`
         (the engines' download path does).
     delay_rows:
-        ``delay_rows[a][b]`` is the one-way delay of the ``a``-``b`` link —
-        :meth:`repro.net.latency.LatencyModel.delay_rows`.
+        ``delay_rows[a][b]`` is the one-way delay of the ``a``-``b`` link as
+        a Python float — :meth:`repro.net.latency.LatencyModel.delay_rows`
+        (row memoryviews of the delay matrix, or the lazy per-pair view).
     max_hops:
         The default hop-limit terminating condition (Gnutella TTL).
 

@@ -93,12 +93,14 @@ class FastGnutellaEngine:
         way, which the digest-equality tests and the ``repro-bench`` CI gate
         assert.
     eager_delay_matrix:
-        Build the full pairwise delay matrix up front (one canonical
-        vectorized draw; see :meth:`repro.net.latency.LatencyModel.
-        delay_matrix`). Required by (and forced on by) the fast path; kept
-        on for the reference mode so ``fast`` and ``fast-reference`` runs
-        observe identical per-pair floats. The detailed engine turns it off
-        to preserve its historical lazy first-touch sampling. Above
+        Build the full pairwise delay matrix up front (canonical vectorized
+        draws; see :meth:`repro.net.latency.LatencyModel.delay_matrix`). The
+        engine holds ``delay_rows()``, per-row views of that one float64
+        array (32 MiB at 2,000 peers), never a copy of it. Required by (and
+        forced on by) the fast path; kept on for the reference mode so
+        ``fast`` and ``fast-reference`` runs observe identical per-pair
+        floats. The detailed engine turns it off to preserve its historical
+        lazy first-touch sampling. Above
         :data:`~repro.net.latency.LAZY_DELAY_NODE_THRESHOLD` nodes the
         latency model refuses to materialize the O(n^2) matrix and
         ``delay_rows()`` transparently returns a lazy per-pair view — the
@@ -189,7 +191,7 @@ class FastGnutellaEngine:
         self.view = _QueryView(self.peers, self.live_libraries, self.latency)
         self.termination = TTLTermination(config.max_hops)
         # Delays are static per run, so materialize the full pairwise matrix
-        # up front (one canonical vectorized draw). Built for the reference
+        # up front (canonical vectorized draws). Built for the reference
         # mode too — not only when the fast path engages — so a ``fast`` and
         # a ``fast-reference`` run of the same config observe the exact same
         # per-pair floats, which is what makes their event-stream digests

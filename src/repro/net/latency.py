@@ -14,14 +14,15 @@ pair (rather than per message) also lets the fast engine compute path delays
 analytically.
 
 Because delays are static per run, the whole pairwise table can be
-precomputed: :meth:`LatencyModel.delay_matrix` materializes every pair in one
-vectorized draw (canonical upper-triangle order), after which
-:meth:`~LatencyModel.one_way_delay` becomes a plain table read and
-:meth:`~LatencyModel.delay_rows` hands the flood fast path raw per-row lists
-with no method dispatch at all. The matrix is built lazily (first request)
-and never invalidated.
+precomputed: :meth:`LatencyModel.delay_matrix` materializes every pair with
+vectorized draws (canonical upper-triangle order, a block of rows at a
+time), after which :meth:`~LatencyModel.one_way_delay` becomes a plain table
+read and :meth:`~LatencyModel.delay_rows` hands the flood fast path one
+``memoryview`` per row of that same array, with no method dispatch at all.
+The one read-only float64 array is the only resident copy of the table. It
+is built lazily (first request) and never invalidated.
 
-The precompute is O(n^2): at the paper's 2,000 users it is 32 MB and the
+The precompute is O(n^2): at the paper's 2,000 users it is 32 MiB and the
 right call; at 100k it would be a 10^10-entry allocation. Above
 :data:`LAZY_DELAY_NODE_THRESHOLD` nodes the model therefore refuses to
 materialize and switches to *stateless keyed* per-pair draws: each unordered
@@ -33,7 +34,7 @@ are first touched — so a fast-path run and a reference run, which touch
 pairs in different orders, still observe identical floats, preserving the
 digest gate at every scale. :meth:`~LatencyModel.delay_rows` then returns a
 lazy row view (``rows[a][b]`` computes through the pair cache) instead of
-list-of-lists. The per-pair *values* differ between the two regimes (same
+views of a table. The per-pair *values* differ between the two regimes (same
 truncated-Gaussian distribution, different draw mechanism); the overlay
 evolution does not, because delays never feed back into event scheduling or
 benefit under the delay-independent benefit options — the engine digest
@@ -54,10 +55,14 @@ __all__ = ["DelayParameters", "LatencyModel", "LAZY_DELAY_NODE_THRESHOLD"]
 
 #: Above this many nodes :meth:`LatencyModel.delay_matrix` refuses to
 #: materialize (the n^2 table would dwarf the rest of the simulation) and
-#: per-pair delays switch to stateless keyed draws. 4096 nodes is a 128 MB
-#: float64 matrix plus a ~3x-larger ``tolist`` — the last size where eager
-#: is clearly the better trade.
+#: per-pair delays switch to stateless keyed draws. 4096 nodes is a 128 MiB
+#: float64 matrix — the last size where eager is clearly the better trade.
 LAZY_DELAY_NODE_THRESHOLD = 4096
+
+#: Rows of the upper triangle drawn per vectorized call in
+#: :meth:`LatencyModel.delay_matrix`. Bounds the build's temporaries to a few
+#: ``rows x n`` arrays; the floats and the generator stream do not depend on it.
+_BUILD_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,18 +140,25 @@ class LatencyModel:
         self._means = np.asarray(self.params.means, dtype=float)
         self._n = bandwidth.n_nodes
         self._matrix: np.ndarray | None = None
-        self._rows: list[list[float]] | None = None
+        self._rows: list[memoryview] | None = None
         if lazy_threshold is None:
             lazy_threshold = LAZY_DELAY_NODE_THRESHOLD
         self._pairwise_lazy = self._n > lazy_threshold
         self._lazy_rows: _LazyDelayRows | None = None
-        # One draw anchors every keyed pair stream to this model's RNG
-        # stream (and therefore to the simulation seed). Drawn eagerly so
-        # the latency stream's consumption is identical no matter which
-        # pairs later get touched.
-        self._philox_key: int | None = None
         if self._pairwise_lazy:
-            self._philox_key = int(self._rng.integers(0, 2**63, dtype=np.int64))
+            # One draw anchors every keyed pair stream to this model's RNG
+            # stream (and therefore to the simulation seed). Drawn eagerly so
+            # the latency stream's consumption is identical no matter which
+            # pairs later get touched.
+            philox_key = int(self._rng.integers(0, 2**63, dtype=np.int64))
+            # One bit generator serves every pair: :meth:`_keyed_draw` rewinds
+            # it to the pair's own counter block before each draw, which costs
+            # a third of constructing a Philox and a Generator per pair.
+            bits = np.random.Philox(key=philox_key)  # repro-lint: disable=R001
+            self._keyed_gen = np.random.Generator(bits)
+            # A pristine state (empty output buffer, no held-over uint32);
+            # only word 1 of the 256-bit counter changes between pairs.
+            self._keyed_state = bits.state
 
     def _pair_key(self, a: NodeId, b: NodeId) -> int:
         lo, hi = (a, b) if a <= b else (b, a)
@@ -160,10 +172,10 @@ class LatencyModel:
         served from it, so matrix users and per-pair users observe the exact
         same floats.
         """
-        if a == b:
-            return 0.0
         if not (0 <= a < self._n and 0 <= b < self._n):
             raise NetworkError(f"node ids out of range: {a}, {b} (n={self._n})")
+        if a == b:
+            return 0.0
         if self._rows is not None:
             return self._rows[a][b]
         key = self._pair_key(a, b)
@@ -176,13 +188,14 @@ class LatencyModel:
     def delay_matrix(self) -> np.ndarray:
         """The full symmetric ``n x n`` one-way-delay matrix (seconds).
 
-        Built lazily on first request with one vectorized draw over the
-        upper triangle in canonical ``(a, b), a < b`` order, then never
-        invalidated — delays are static per run. Pairs that were already
-        drawn lazily keep their observed values (the matrix overlays the
-        per-pair cache), so a warm model stays self-consistent. After the
-        build, :meth:`one_way_delay` reads from this table. Treat the
-        returned array as read-only.
+        Built lazily on first request with vectorized draws over the upper
+        triangle in canonical ``(a, b), a < b`` order — a block of rows per
+        call, which consumes the generator exactly as one call over all
+        pairs would — then never invalidated: delays are static per run.
+        Pairs that were already drawn lazily keep their observed values (the
+        matrix overlays the per-pair cache), so a warm model stays
+        self-consistent. After the build, :meth:`one_way_delay` reads from
+        this table. The returned array is read-only.
 
         Raises :class:`~repro.errors.NetworkError` in the lazy regime (node
         count above the threshold): the n^2 allocation is exactly what the
@@ -198,38 +211,52 @@ class LatencyModel:
         if self._matrix is None:
             n = self._n
             p = self.params
-            # The slower endpoint of each pair governs the delay mean.
-            slowest = np.minimum.outer(self.bandwidth.classes, self.bandwidth.classes)
-            means = self._means[slowest]
-            if p.std == 0.0:
-                matrix = np.maximum(means, p.floor)
-            else:
-                upper = np.triu_indices(n, k=1)
-                pair_means = means[upper]
-                raw = self._rng.normal(pair_means, p.std)
-                lo = np.maximum(pair_means - p.truncation_sigmas * p.std, p.floor)
-                hi = pair_means + p.truncation_sigmas * p.std
-                matrix = np.zeros((n, n), dtype=float)
-                matrix[upper] = np.clip(raw, lo, hi)
-                matrix = matrix + matrix.T
-            np.fill_diagonal(matrix, 0.0)
+            classes = self.bandwidth.classes
+            spread = p.truncation_sigmas * p.std
+            columns = np.arange(n)
+            matrix = np.zeros((n, n), dtype=float)
+            for start in range(0, n, _BUILD_BLOCK_ROWS):
+                stop = min(start + _BUILD_BLOCK_ROWS, n)
+                block = matrix[start:stop]
+                # Boolean selection is row-major: pairs (a, b), a < b, in
+                # canonical order.
+                upper = columns > np.arange(start, stop)[:, None]
+                # The slower endpoint of each pair governs the delay mean.
+                slowest = np.minimum.outer(classes[start:stop], classes)
+                pair_means = self._means[slowest[upper]]
+                if p.std == 0.0:
+                    block[upper] = np.maximum(pair_means, p.floor)
+                else:
+                    raw = self._rng.normal(pair_means, p.std)
+                    lo = np.maximum(pair_means - spread, p.floor)
+                    block[upper] = np.clip(raw, lo, pair_means + spread)
+                # Mirror below the diagonal; adding the still-zero lower
+                # half of the diagonal square leaves every float as drawn.
+                matrix[stop:, start:stop] = block[:, stop:].T
+                square = block[:, start:stop]
+                square += square.T
             for key, value in self._cache.items():
                 a, b = divmod(key, n)
                 matrix[a, b] = value
                 matrix[b, a] = value
+            matrix.setflags(write=False)
             self._matrix = matrix
-            self._rows = matrix.tolist()
+            # Read-only views of the array's own rows; indexing one returns
+            # a plain Python float, and no second copy of the table exists.
+            self._rows = [row.data for row in matrix]
         return self._matrix
 
-    def delay_rows(self) -> "list[list[float]] | _LazyDelayRows":
+    def delay_rows(self) -> "list[memoryview] | _LazyDelayRows":
         """Indexable ``rows[a][b]`` delays (hot-path view).
 
-        Below the lazy threshold: per-row Python lists of
-        :meth:`delay_matrix` — the exact float ``one_way_delay(a, b)``
-        returns, with zero method dispatch. Above it: a lazy row view whose
-        ``[a][b]`` computes through the keyed per-pair cache (same floats as
+        Below the lazy threshold: one read-only ``memoryview`` per row of
+        :meth:`delay_matrix` — ``rows[a][b]`` is the exact Python float
+        ``one_way_delay(a, b)`` returns, with zero method dispatch and no
+        copy of the table. Above it: a lazy row view whose ``[a][b]``
+        computes through the keyed per-pair cache (same floats as
         ``one_way_delay``, materializing only the pairs actually touched).
-        Treat as read-only either way.
+        Memoryviews do not pickle; nothing pickles a model or its rows
+        (workers build their own from the config).
         """
         if self._pairwise_lazy:
             if self._lazy_rows is None:
@@ -257,23 +284,24 @@ class LatencyModel:
     def _keyed_draw(self, key: int) -> float:
         """Stateless per-pair draw for the lazy regime.
 
-        The pair's canonical index seeds a private counter-based Philox
-        stream, so the value is a pure function of ``(model key, pair)`` —
-        two runs that touch pairs in different orders (fast path vs
-        reference) still observe identical floats, which is what keeps the
-        digest gate valid above the matrix threshold. Same truncated
-        Gaussian as :meth:`_draw`, different (order-independent) mechanism.
+        The pair's canonical index selects a private block of the
+        counter-based Philox stream, so the value is a pure function of
+        ``(model key, pair)`` — two runs that touch pairs in different
+        orders (fast path vs reference) still observe identical floats,
+        which is what keeps the digest gate valid above the matrix
+        threshold. Same truncated Gaussian as :meth:`_draw`, different
+        (order-independent) mechanism.
         """
         a, b = divmod(key, self._n)
         p = self.params
         mean = float(self._means[self.bandwidth.slowest_class(a, b)])
         if p.std == 0.0:
             return max(mean, p.floor)
-        # Each pair gets its own 2^64-block region of the keyed stream.
-        gen = np.random.Generator(
-            np.random.Philox(key=self._philox_key, counter=key << 64)  # repro-lint: disable=R001
-        )
-        raw = float(gen.normal(mean, p.std))
+        # Each pair gets its own 2^64-block region of the keyed stream:
+        # counter = key << 64, on an otherwise pristine generator.
+        self._keyed_state["state"]["counter"][1] = key
+        self._keyed_gen.bit_generator.state = self._keyed_state
+        raw = float(self._keyed_gen.normal(mean, p.std))
         lo = max(mean - p.truncation_sigmas * p.std, p.floor)
         hi = mean + p.truncation_sigmas * p.std
         return min(max(raw, lo), hi)
@@ -318,7 +346,7 @@ class _LazyDelayRow:
 class _LazyDelayRows:
     """``rows[a][b]`` view over a lazy :class:`LatencyModel`.
 
-    Duck-type compatible with the eager list-of-lists where it matters (the
+    Duck-type compatible with the eager row views where it matters (the
     flood fast path indexes ``rows[a][b]`` per path edge and takes
     ``len(rows)`` once at bind time). Rows are materialized as tiny proxy
     objects per access, never as n-float lists — caching a full row would
