@@ -126,8 +126,8 @@ class HolderIndex:
         """The live holder set of ``item`` (materialized on first use)."""
         members = self._cache.get(item)
         if members is None:
-            lo = int(np.searchsorted(self._item_ids, item, side="left"))
-            hi = int(np.searchsorted(self._item_ids, item, side="right"))
+            lo = self._item_ids.searchsorted(item, side="left")
+            hi = self._item_ids.searchsorted(item, side="right")
             members = set(self._owners[lo:hi].tolist())
             extra = self._extra.pop(item, None)
             if extra is not None:

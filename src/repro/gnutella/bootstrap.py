@@ -68,30 +68,35 @@ class BootstrapServer:
         """
         if k <= 0:
             return []
-        excluded = set(exclude)
-        pool_size = len(self._online)
-        available = pool_size - sum(1 for e in excluded if e in self._pos)
+        # Only ever read, so a caller's ready-made set is used as it is.
+        excluded = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
+        online, pos = self._online, self._pos
+        pool_size = available = len(online)
+        for e in excluded:
+            if e in pos:
+                available -= 1
         if available <= 0:
             return []
         want = min(k, available)
         # Rejection sampling over the dense array: cheap because exclusions
-        # are tiny (the requester and its current neighbors).
+        # are tiny (the requester and its current neighbors). One scalar
+        # draw per try — the digests pin the stream, so no block draws here.
         picks: list[NodeId] = []
         seen: set[NodeId] = set()
         # Cap iterations defensively; with want <= available this terminates
         # quickly in expectation.
-        max_tries = 8 * (want + len(excluded) + 1)
-        tries = 0
-        while len(picks) < want and tries < max_tries:
-            tries += 1
-            candidate = self._online[int(rng.integers(pool_size))]
+        integers = rng.integers
+        for _ in range(8 * (want + len(excluded) + 1)):
+            candidate = online[integers(pool_size)]
             if candidate in excluded or candidate in seen:
                 continue
             seen.add(candidate)
             picks.append(candidate)
+            if len(picks) == want:
+                break
         if len(picks) < want:
             # Fall back to an exact draw (rare: tiny pools, heavy exclusion).
-            remaining = [n for n in self._online if n not in excluded and n not in seen]
+            remaining = [n for n in online if n not in excluded and n not in seen]
             idx = rng.permutation(len(remaining))[: want - len(picks)]
             picks.extend(remaining[i] for i in idx)
         return picks

@@ -29,6 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.update import (
+    EvictAction,
+    InviteAction,
     plan_reconfiguration,
     process_invitation,
     reconfiguration_actions,
@@ -190,15 +192,47 @@ class GnutellaProtocol:
         (``max_swaps=None``).
         """
         peer = self.peers[node]
-        current = peer.neighbors.outgoing.as_tuple()
-        desired = plan_reconfiguration(
-            current,
-            peer.stats,
-            self.slots,
-            exclude=(node,),
-            eligible=self._is_online,
-        )
-        invites, evicts = reconfiguration_actions(node, current, desired)
+        stats = peer.stats
+        adopted = invited = 0
+        # Most calls have nothing to exchange: a peer without statistics
+        # desires exactly the list it has, and most plans confirm the
+        # neighborhood. Those go straight to the bookkeeping.
+        if len(stats):
+            current = peer.neighbors.outgoing.as_tuple()
+            desired = plan_reconfiguration(
+                current,
+                stats,
+                self.slots,
+                exclude=(node,),
+                eligible=self._is_online,
+            )
+            invites, evicts = reconfiguration_actions(node, current, desired)
+            if invites or (evicts and max_swaps is None):
+                adopted, invited = self._exchange(node, invites, evicts, max_swaps, swap_margin)
+        peer.requests_since_update = 0
+        self._note_reconfiguration(node, adopted, invited)
+        if stats_decay == 0.0:
+            stats.clear()
+        elif stats_decay < 1.0:
+            # Age the evidence: the next update is dominated by the results
+            # observed in its own window (see GnutellaConfig docs).
+            stats.decay(stats_decay)
+        return adopted
+
+    def _exchange(
+        self,
+        node: NodeId,
+        invites: list[InviteAction],
+        evicts: list[EvictAction],
+        max_swaps: int | None,
+        swap_margin: float,
+    ) -> tuple[int, int]:
+        """Carry out a plan's invitations and evictions at ``node``.
+
+        Returns ``(adopted, invited)``: links formed, invitations the
+        ``max_swaps`` cap let through.
+        """
+        peer = self.peers[node]
         if max_swaps is None:
             # Literal Algo 5: all undesired neighbors are evicted up front.
             for action in evicts:
@@ -248,15 +282,7 @@ class GnutellaProtocol:
             self.link(node, action.invitee)
             invitee.requests_since_update = 0
             adopted += 1
-        peer.requests_since_update = 0
-        self._note_reconfiguration(node, adopted, len(invites))
-        if stats_decay == 0.0:
-            peer.stats.clear()
-        elif stats_decay < 1.0:
-            # Age the evidence: the next update is dominated by the results
-            # observed in its own window (see GnutellaConfig docs).
-            peer.stats.decay(stats_decay)
-        return adopted
+        return adopted, len(invites)
 
     def _note_reconfiguration(self, node: NodeId, adopted: int, invites: int) -> None:
         """Book one completed reconfiguration: counters, series, trace."""
@@ -281,27 +307,26 @@ class GnutellaProtocol:
         This is the static scheme's whole neighbor policy and the shared
         degree-maintenance fallback of the dynamic scheme.
         """
-        peer = self.peers[node]
+        outgoing = self.peers[node].neighbors.outgoing
+        linkable = self._is_linkable
         formed = 0
-        attempts = 0
         # Each round samples fresh candidates; stop when full or the online
         # population offers nothing linkable.
-        while peer.has_free_slot and attempts < 4:
-            attempts += 1
-            exclude = [node, *peer.neighbors.outgoing]
-            want = int(peer.neighbors.outgoing.free_slots)
-            candidates = self.bootstrap.sample(rng, 2 * want, exclude=exclude)
+        for _ in range(4):
+            want = int(outgoing.free_slots)
+            if want <= 0:
+                break
+            candidates = self.bootstrap.sample(rng, 2 * want, {node, *outgoing})
             if not candidates:
                 break
             linked_this_round = 0
-            linkable = self._is_linkable
             for candidate in candidates:
-                if not peer.has_free_slot:
-                    break
                 if linkable(candidate):
                     self.link(node, candidate)
-                    formed += 1
                     linked_this_round += 1
+                    if linked_this_round == want:
+                        break
+            formed += linked_this_round
             if linked_this_round == 0 and len(candidates) >= len(self.bootstrap) - 1:
                 break  # whole population sampled; nobody has room
         return formed

@@ -4,13 +4,15 @@ The queue is a binary heap of ``(time, priority, sequence, payload)`` tuples.
 The monotonically increasing sequence number makes ordering total and
 deterministic: two events scheduled for the same time and priority fire in
 scheduling order, which is what keeps same-seed runs bit-for-bit reproducible.
+It is also unique, so ``heapq``'s tuple comparison — done in C — is always
+decided before it could reach the payload.
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SchedulingError
@@ -198,21 +200,13 @@ class Event:
         return f"<Event {state} at t={self._sim.now:.6g}>"
 
 
-@dataclass(order=True, slots=True)
-class _HeapEntry:
-    time: float
-    priority: int
-    seq: int
-    callback: ScheduledCallback = field(compare=False)
-
-
 class EventQueue:
     """A deterministic time/priority/FIFO-ordered heap of callbacks."""
 
     __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
-        self._heap: list[_HeapEntry] = []
+        self._heap: list[tuple[float, int, int, ScheduledCallback]] = []
         self._seq = 0
 
     def __len__(self) -> int:
@@ -224,17 +218,17 @@ class EventQueue:
     def push(self, time: float, callback: ScheduledCallback, priority: int = NORMAL) -> None:
         """Insert ``callback`` to fire at ``time``."""
         self._seq += 1
-        heapq.heappush(self._heap, _HeapEntry(time, priority, self._seq, callback))
+        heapq.heappush(self._heap, (time, priority, self._seq, callback))
 
     def peek_time(self) -> float:
         """Time of the earliest entry (cancelled entries included)."""
         if not self._heap:
             raise SchedulingError("event queue is empty")
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def pop(self) -> tuple[float, ScheduledCallback]:
         """Remove and return the earliest ``(time, callback)`` pair."""
         if not self._heap:
             raise SchedulingError("event queue is empty")
-        entry = heapq.heappop(self._heap)
-        return entry.time, entry.callback
+        time, _, _, callback = heapq.heappop(self._heap)
+        return time, callback

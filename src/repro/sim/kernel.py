@@ -207,35 +207,32 @@ class Simulator:
             return time
         return None
 
-    def _step_timed(self, perf: Any) -> float | None:
-        """:meth:`step` with the callback's wall time routed into ``perf``.
+    def _step_timed(self, perf: Any) -> None:
+        """Pop one entry; unless cancelled, run it with its wall time in ``perf``.
 
-        A separate body (rather than a branch inside :meth:`step`) keeps
-        the unprofiled hot path free of per-event overhead. The timing is
-        wall-clock on purpose — it measures the host, never the simulation
-        — and recording happens *after* the callback returns, so the
-        observation cannot affect event order.
+        A separate body (rather than a branch inside :meth:`run`'s loop)
+        keeps the unprofiled hot path free of per-event overhead. The timing
+        is wall-clock on purpose — it measures the host, never the
+        simulation — and recording happens *after* the callback returns, so
+        the observation cannot affect event order.
         """
-        if not self._queue:
-            raise SchedulingError("event queue is empty")
-        while self._queue:
-            time, handle = self._queue.pop()
-            if handle.cancelled:
-                continue
-            self._now = time
-            self._events_executed += 1
-            fn = handle.fn
-            t0 = perf_counter()  # repro-lint: disable=R002
-            fn(*handle.args)
-            perf.record(fn, perf_counter() - t0)  # repro-lint: disable=R002
-            return time
-        return None
+        time, handle = self._queue.pop()
+        if handle.cancelled:
+            return
+        self._now = time
+        self._events_executed += 1
+        fn = handle.fn
+        t0 = perf_counter()  # repro-lint: disable=R002
+        fn(*handle.args)
+        perf.record(fn, perf_counter() - t0)  # repro-lint: disable=R002
 
     def run(self, until: float | None = None) -> None:
         """Run until the queue drains, or until the clock reaches ``until``.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
-        even if the queue drains earlier, matching SimPy semantics.
+        even if the queue drains earlier, matching SimPy semantics, and no
+        callback due after ``until`` runs — also not one that surfaces from
+        behind a cancelled entry.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly from within a callback")
@@ -249,20 +246,30 @@ class Simulator:
         # simulated time, and never feeds back into the simulation.
         t0 = perf_counter() if profile is not None else 0.0  # repro-lint: disable=R002
         try:
+            # One entry per iteration on both paths: a cancelled entry is
+            # dropped and the loop comes round to the ``until`` test again, so
+            # the entry behind it never runs unchecked. Through the queue's
+            # public interface — the event-stream hasher stands in for it.
+            queue = self._queue
+            peek_time, pop = queue.peek_time, queue.pop
+            limit = math.inf if until is None else until
             if perf is None:
-                while self._queue and not self._stopped:
-                    # Skip over cancelled entries without advancing the clock.
-                    next_time = self._queue.peek_time()
-                    if until is not None and next_time > until:
+                while queue:
+                    if peek_time() > limit:
                         break
-                    self.step()
+                    time, handle = pop()
+                    if handle.cancelled:
+                        continue
+                    self._now = time
+                    self._events_executed += 1
+                    handle.fn(*handle.args)
+                    if self._stopped:
+                        break
             else:
-                # Identical loop with the per-event timing step: the split
-                # is hoisted out of the loop so the unprofiled path carries
-                # zero extra branches per event.
-                while self._queue and not self._stopped:
-                    next_time = self._queue.peek_time()
-                    if until is not None and next_time > until:
+                # The same loop with the per-event timing step: the split is
+                # hoisted so the unprofiled path carries no branch per event.
+                while queue and not self._stopped:
+                    if peek_time() > limit:
                         break
                     self._step_timed(perf)
         finally:

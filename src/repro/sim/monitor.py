@@ -138,7 +138,9 @@ class HourlyBuckets:
             raise ValueError("horizon and width must be positive")
         self.width = float(width)
         self.n_buckets = int(math.ceil(horizon / width))
-        self._counts = np.zeros(self.n_buckets, dtype=np.int64)
+        # Plain ints while accumulating (an ndarray element update per event
+        # costs several list updates); int64 arrays on read, as ever.
+        self._counts = [0] * self.n_buckets
 
     def add(self, time: float, amount: int = 1) -> None:
         """Add ``amount`` to the bucket containing ``time``.
@@ -156,7 +158,7 @@ class HourlyBuckets:
     @property
     def counts(self) -> np.ndarray:
         """Copy of the per-bucket totals."""
-        return self._counts.copy()
+        return np.array(self._counts, dtype=np.int64)
 
     def bucket_starts(self) -> np.ndarray:
         """Start time of each bucket, in the same unit as ``width``."""
@@ -171,8 +173,8 @@ class HourlyBuckets:
         if skip < 0 or skip > self.n_buckets:
             raise ValueError(f"skip must be in [0, {self.n_buckets}], got {skip}")
         idx = np.arange(skip, self.n_buckets, dtype=int)
-        return idx, self._counts[skip:].copy()
+        return idx, np.array(self._counts[skip:], dtype=np.int64)
 
     def total(self, skip: int = 0) -> int:
         """Sum of all buckets from ``skip`` onward."""
-        return int(self._counts[skip:].sum())
+        return sum(self._counts[skip:])

@@ -65,6 +65,8 @@ class QueryModel:
         self.exclude_local = exclude_local
         self.max_resample = max_resample
         self._mean_interarrival = HOUR / rate_per_hour
+        # Read once per query: plain ints, not ndarray scalars.
+        self._favorite: list[int] = np.asarray(libraries.favorite).tolist()
 
     @property
     def mean_interarrival(self) -> float:
@@ -79,7 +81,7 @@ class QueryModel:
         """Category of the next query, per the user's preference mix."""
         secondary = self.libraries.secondary[user]
         if not secondary or rng.random() < self.favorite_probability:
-            return int(self.libraries.favorite[user])
+            return self._favorite[user]
         return int(secondary[rng.integers(len(secondary))])
 
     def sample_item(
@@ -95,10 +97,12 @@ class QueryModel:
         """
         if library is None:
             library = self.libraries.libraries[user]
+        sample_category = self.sample_category
+        sample_rank = self.catalog.popularity.sample
+        item_at = self.catalog.item_at
         for _ in range(self.max_resample + 1):
-            category = self.sample_category(user, rng)
-            rank = self.catalog.popularity.sample(rng)
-            item = self.catalog.item_at(category, rank)
+            category = sample_category(user, rng)  # drawn before the rank: same stream
+            item = item_at(category, sample_rank(rng))
             if not self.exclude_local or item not in library:
                 return item
         return item  # give up after max_resample tries; accept a local hit

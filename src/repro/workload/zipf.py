@@ -7,8 +7,10 @@ categories. This module provides an exact finite-support Zipf sampler:
     P(rank r) = (1 / r^theta) / H(n, theta),   r = 1..n
 
 Independent draws (:meth:`ZipfSampler.sample`) are an inverse-CDF lookup
-(:func:`numpy.searchsorted`) over a precomputed cumulative table — O(n)
-setup, O(log n) per draw, vectorized for batch draws.
+over a precomputed cumulative table — O(n) setup, O(log n) per draw:
+:func:`numpy.searchsorted` for batch draws, :func:`bisect.bisect_right` over
+the same table as a list for the one-at-a-time draw of the query path, where
+a NumPy call per draw costs six times the search.
 
 Draws without replacement (:meth:`ZipfSampler.sample_distinct`) are a
 Gumbel-top-k race: every rank gets the key ``log p_i + G_i`` with ``G_i``
@@ -42,6 +44,7 @@ with it and is used as the oracle in the tests.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 
 import numpy as np
@@ -125,6 +128,7 @@ class ZipfSampler:
         # Guard against floating-point drift: force exact upper bound so a
         # uniform draw of 1.0-epsilon can never index past the end.
         self._cdf[-1] = 1.0
+        self._cdf_list: list[float] = self._cdf.tolist()
         self._log_pmf = np.log(self.pmf)
         self._inv_pmf = 1.0 / self.pmf
         #: k -> candidate threshold of the filtered race (inf: full race).
@@ -132,11 +136,9 @@ class ZipfSampler:
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | int:
         """Draw ``size`` ranks (or a scalar when ``size`` is None)."""
-        u = rng.random(size)
-        idx = np.searchsorted(self._cdf, u, side="right")
         if size is None:
-            return int(idx)
-        return idx.astype(np.int64)
+            return bisect_right(self._cdf_list, rng.random())
+        return np.searchsorted(self._cdf, rng.random(size), side="right").astype(np.int64)
 
     def sample_distinct(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """Draw ``k`` *distinct* ranks, weighted by the Zipf pmf.

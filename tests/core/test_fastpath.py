@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fastpath import AdjacencySnapshot, FloodFastPath
+from repro.core.fastpath import AdjacencySnapshot, FloodFastPath, HolderIndex
 from repro.core.neighbors import NeighborList
 from repro.core.search import generic_search
 from repro.core.termination import TTLTermination
@@ -194,3 +194,50 @@ def test_explicit_max_hops_overrides_default():
         assert fastpath.search(0, 1, max_hops=hops) == generic_search(
             view, 0, 1, TTLTermination(hops)
         )
+
+
+# ---------------------------------------------------------------------------
+# HolderIndex.get against the body it replaced
+# ---------------------------------------------------------------------------
+def reference_holder_get(index, item):
+    """``HolderIndex.get`` through the ``np.searchsorted`` wrapper and ``int()``."""
+    members = index._cache.get(item)
+    if members is None:
+        lo = int(np.searchsorted(index._item_ids, item, side="left"))
+        hi = int(np.searchsorted(index._item_ids, item, side="right"))
+        members = set(index._owners[lo:hi].tolist())
+        extra = index._extra.pop(item, None)
+        if extra is not None:
+            members.update(extra)
+        index._cache[item] = members
+    return members
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    libraries=st.lists(st.frozensets(st.integers(0, 11), max_size=6), min_size=1, max_size=8),
+    ops=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 7), st.integers(-1, 13)), max_size=40
+    ),
+)
+def test_holder_index_get_matches_reference(libraries, ops):
+    """Same sets from the same histories: holders added before an item's
+    first ``get`` (the overflow list) and after it (the cached set), items
+    nobody holds, items beyond both ends of the sorted id column."""
+    index, reference = HolderIndex(libraries), HolderIndex(libraries)
+    truth = {}
+    for node, library in enumerate(libraries):
+        for item in library:
+            truth.setdefault(item, set()).add(node)
+    for is_add, node, item in ops:
+        if is_add:
+            node %= len(libraries)
+            index.add_holder(node, item)
+            reference.add_holder(node, item)
+            truth.setdefault(item, set()).add(node)
+        else:
+            got = index.get(item)
+            assert got == reference_holder_get(reference, item) == truth.get(item, set())
+            assert all(type(member) is int for member in got)
+            assert index.get(item) is got  # materialized once, then live
+    assert index.items_cached == reference.items_cached

@@ -35,9 +35,9 @@ def small_config(**overrides):
 @pytest.mark.parametrize(
     "overrides",
     [
-        pytest.param({}, id="static-ttl2"),
+        pytest.param({"dynamic": False}, id="static-ttl2"),
         pytest.param({"dynamic": True}, id="dynamic-ttl2"),
-        pytest.param({"max_hops": 4, "seed": 21}, id="static-ttl4"),
+        pytest.param({"dynamic": False, "max_hops": 4, "seed": 21}, id="static-ttl4"),
         pytest.param(
             {"dynamic": True, "downloads_grow_libraries": True, "seed": 3},
             id="dynamic-growing-libraries",
@@ -51,6 +51,10 @@ def test_digest_identical_fast_vs_reference(overrides):
     assert fast_digest == ref_digest
     assert fast_result.metrics.total_queries == ref_result.metrics.total_queries
     assert fast_result.metrics.total_hits == ref_result.metrics.total_hits
+    # ``GnutellaConfig.dynamic`` defaults to True: a case is static only if
+    # it says so, and then it never reconfigures.
+    assert (fast_result.metrics.reconfigurations > 0) == overrides["dynamic"]
+    assert fast_result.metrics.reconfigurations == ref_result.metrics.reconfigurations
 
 
 def test_fastpath_engaged_only_on_flood():

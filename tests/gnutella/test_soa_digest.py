@@ -72,9 +72,9 @@ def paper_scale_config(**overrides):
 
 
 VARIANTS = [
-    pytest.param({}, id="static-ttl2"),
+    pytest.param({"dynamic": False}, id="static-ttl2"),
     pytest.param({"dynamic": True}, id="dynamic-ttl2"),
-    pytest.param({"max_hops": 4, "seed": 21}, id="static-ttl4"),
+    pytest.param({"dynamic": False, "max_hops": 4, "seed": 21}, id="static-ttl4"),
     pytest.param(
         {"dynamic": True, "downloads_grow_libraries": True, "seed": 3},
         id="dynamic-growing-libraries",
@@ -90,12 +90,16 @@ def test_digest_identical_soa_vs_aos(overrides):
     assert soa_digest == aos_digest
     assert soa_result.metrics.total_queries == aos_result.metrics.total_queries
     assert soa_result.metrics.total_hits == aos_result.metrics.total_hits
+    # ``GnutellaConfig.dynamic`` defaults to True: a case is static only if
+    # it says so, and then it never reconfigures.
+    assert (soa_result.metrics.reconfigurations > 0) == overrides["dynamic"]
+    assert soa_result.metrics.reconfigurations == aos_result.metrics.reconfigurations
 
 
 @pytest.mark.parametrize(
     "overrides",
     [
-        pytest.param({}, id="figure1-static-ttl2"),
+        pytest.param({"dynamic": False}, id="figure1-static-ttl2"),
         pytest.param({"dynamic": True}, id="figure2-dynamic-ttl2"),
         pytest.param(
             {"dynamic": True, "downloads_grow_libraries": True, "max_hops": 4},
@@ -106,9 +110,10 @@ def test_digest_identical_soa_vs_aos(overrides):
 def test_paper_scale_digest_identical_soa_vs_aos(overrides):
     """2,000 peers (the paper's population): SoA == object layout, bit for bit."""
     config = paper_scale_config(**overrides)
-    _, soa_digest = run_hashed(config, "fast", sanitize=False)
+    soa_result, soa_digest = run_hashed(config, "fast", sanitize=False)
     _, aos_digest = run_hashed(config, "fast-aos", sanitize=False)
     assert soa_digest == aos_digest
+    assert (soa_result.metrics.reconfigurations > 0) == overrides["dynamic"]
 
 
 def test_digest_identical_incremental_vs_full_scan_plan(monkeypatch):

@@ -1,10 +1,13 @@
 """Tests for the discrete-event kernel: scheduling, ordering, run loop."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError, SimulationError
+from repro.obs.perf.perf_counters import EventTypeCounters
 from repro.sim import Simulator
 from repro.sim.events import HIGH, LOW
 
@@ -118,6 +121,54 @@ class TestRunLoop:
         # Remaining event still runs on a later resume.
         sim.run()
         assert fired == ["a", "b"]
+
+    @pytest.mark.parametrize("perf", [None, EventTypeCounters()], ids=["plain", "perf"])
+    def test_run_until_holds_behind_a_cancelled_head(self, perf):
+        """The entry behind a skipped cancelled one is checked against ``until`` too."""
+        sim = Simulator()
+        sim.perf = perf
+        fired = []
+        head = sim.schedule(1.0, fired.append, "f")
+        sim.schedule(5.0, fired.append, "g")
+        head.cancel()
+        sim.run(until=2.0)
+        assert fired == []
+        assert math.isclose(sim.now, 2.0)
+        assert sim.pending == 1
+        sim.run()
+        assert fired == ["g"]
+        assert math.isclose(sim.now, 5.0)
+
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 100.0), st.booleans()), min_size=1, max_size=40),
+        st.lists(st.floats(0.0, 100.0), max_size=8),
+        st.booleans(),
+    )
+    def test_property_chunked_run_equals_one_call(self, entries, cuts, with_perf):
+        """Chunked ``run(until=...)`` over cancelled entries: each chunk keeps
+        its bound, and the chunks together execute what one call executes, at
+        the same clock readings."""
+
+        def build():
+            sim = Simulator()
+            sim.perf = EventTypeCounters() if with_perf else None
+            log = []
+            for label, (delay, cancelled) in enumerate(entries):
+                handle = sim.schedule(delay, lambda label=label: log.append((sim.now, label)))
+                if cancelled:
+                    handle.cancel()
+            return sim, log
+
+        whole, whole_log = build()
+        whole.run(until=100.0)
+        chunked, chunked_log = build()
+        for cut in sorted(cuts):
+            chunked.run(until=cut)
+            assert chunked.now <= cut
+            assert chunked_log == [entry for entry in whole_log if entry[0] <= cut]
+        chunked.run(until=100.0)
+        assert chunked_log == whole_log
+        assert chunked.events_executed == whole.events_executed
 
     def test_run_until_past_rejected(self):
         sim = Simulator(start_time=5.0)

@@ -7,6 +7,66 @@ from hypothesis import strategies as st
 from repro.sim import HourlyBuckets, WelfordStats
 
 
+class ReferenceHourlyBuckets(HourlyBuckets):
+    """The accumulator as it was: one ``int64`` array, updated per event."""
+
+    def __init__(self, horizon, width=3600.0):
+        super().__init__(horizon, width)
+        self._counts = np.zeros(self.n_buckets, dtype=np.int64)
+
+    def add(self, time, amount=1):
+        if time < 0:
+            raise ValueError(f"negative time {time!r}")
+        idx = int(time / self.width)
+        if idx >= self.n_buckets:
+            idx = self.n_buckets - 1
+        self._counts[idx] += amount
+
+    @property
+    def counts(self):
+        return self._counts.copy()
+
+    def series(self, skip=0):
+        if skip < 0 or skip > self.n_buckets:
+            raise ValueError(f"skip must be in [0, {self.n_buckets}], got {skip}")
+        idx = np.arange(skip, self.n_buckets, dtype=int)
+        return idx, self._counts[skip:].copy()
+
+    def total(self, skip=0):
+        return int(self._counts[skip:].sum())
+
+
+def same_array(got, expected):
+    return got.dtype == expected.dtype and got.shape == expected.shape and (got == expected).all()
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=20_000.0),
+            st.integers(min_value=0, max_value=2**40),
+        ),
+        max_size=60,
+    ),
+    st.integers(min_value=0, max_value=40),
+)
+def test_buckets_match_int64_array_reference(events, skip):
+    """Integer amounts: the reads are the arrays they always were, values and
+    dtypes, and every read is the caller's own copy."""
+    hb, ref = HourlyBuckets(10_000.0, 250.0), ReferenceHourlyBuckets(10_000.0, 250.0)
+    for time, amount in events:
+        hb.add(time, amount)
+        ref.add(time, amount)
+    assert same_array(hb.counts, ref.counts)
+    for got, expected in zip(hb.series(skip), ref.series(skip)):
+        assert same_array(got, expected)
+    assert hb.total(skip) == ref.total(skip)
+    assert type(hb.total(skip)) is int
+    hb.counts[:] = -1
+    hb.series()[1][:] = -1
+    assert same_array(hb.counts, ref.counts)
+
+
 @given(
     st.lists(
         st.tuples(

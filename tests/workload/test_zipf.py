@@ -10,6 +10,23 @@ from repro.errors import WorkloadError
 from repro.workload.zipf import ZipfSampler, zipf_pmf
 
 
+def reference_sample_scalar(sampler, rng):
+    """The one-at-a-time draw ``ZipfSampler.sample(rng)`` made before ``bisect``."""
+    u = rng.random(None)
+    return int(np.searchsorted(sampler._cdf, u, side="right"))
+
+
+class ScriptedUniforms:
+    """A generator whose ``random()`` hands out the given doubles in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self, size=None):
+        assert size is None
+        return next(self._values)
+
+
 class TestPmf:
     def test_sums_to_one(self):
         assert zipf_pmf(1000, 0.9).sum() == pytest.approx(1.0)
@@ -83,6 +100,31 @@ class TestSampling:
         s = ZipfSampler(n, theta)
         draws = s.sample(np.random.default_rng(0), size=50)
         assert ((draws >= 0) & (draws < n)).all()
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.9, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 4000])
+class TestScalarDrawEqualsReference:
+    """``bisect_right`` over the list is ``searchsorted`` over the array."""
+
+    def test_same_ranks_and_state_over_1e5_uniforms(self, n, theta):
+        sampler = ZipfSampler(n, theta)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(100_000):
+            got = sampler.sample(rng)
+            assert got == reference_sample_scalar(sampler, ref_rng)
+            assert type(got) is int
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_same_rank_at_and_around_every_table_entry(self, n, theta):
+        sampler = ZipfSampler(n, theta)
+        cdf = sampler._cdf
+        edges = np.concatenate(([0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)))
+        edges = edges[edges < 1.0].tolist()  # what rng.random() can return
+        expected = np.searchsorted(cdf, edges, side="right").tolist()
+        scripted = ScriptedUniforms(edges)
+        assert [sampler.sample(scripted) for _ in edges] == expected
+        assert [reference_sample_scalar(sampler, ScriptedUniforms([u])) for u in edges] == expected
 
 
 class TestSampleDistinct:
