@@ -47,6 +47,12 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 
 
 def _label_key(labels: Mapping[str, Any]) -> LabelKey:
+    # Zero or one label is the per-request case: nothing to sort.
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((k, v),) = labels.items()
+        return ((str(k), str(v)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

@@ -1,12 +1,13 @@
 """Rolling-window instruments: tail latency, rate, and SLO burn.
 
 A :class:`RollingWindow` keeps the last ``window_s`` seconds of
-``(time, latency, ok)`` observations in a deque, pruning lazily on
-access. On top of it, :class:`RollingTelemetry` maintains one window per
-configured horizon (10s/1m/5m by default) and publishes windowed
-p50/p95/p99/p999, requests-per-second, and error-budget burn rate into a
-:class:`~repro.obs.registry.MetricsRegistry` as gauges — the series
-``repro-top`` renders live.
+``(time, latency, ok)`` observations in a deque, pruning the head on
+every observation and on every read, so a window nobody reads still
+holds one window's worth. On top of it, :class:`RollingTelemetry`
+maintains one window per configured horizon (10s/1m/5m by default) and
+publishes windowed p50/p95/p99/p999, requests-per-second, and
+error-budget burn rate into a :class:`~repro.obs.registry.MetricsRegistry`
+as gauges — the series ``repro-top`` renders live.
 
 Every method takes the clock *as an argument*; nothing here reads a
 clock of its own. The serve front end passes its event-loop time, the
@@ -53,7 +54,21 @@ class RollingWindow:
 
     def observe(self, t: float, latency_s: float, ok: bool = True) -> None:
         """Fold one request outcome observed at time ``t``."""
-        self._obs.append((float(t), float(latency_s), bool(ok)))
+        self.add((float(t), float(latency_s), bool(ok)))
+
+    def add(self, entry: Tuple[float, float, bool]) -> None:
+        """Fold a ready-made ``(t, latency_s, ok)`` entry, shared, not copied.
+
+        Drops what a read at ``t`` would drop, so reads return what pruning
+        on read alone would, as long as every read comes at or after the
+        times already observed — or right after an observation at its time,
+        as :class:`~repro.obs.telemetry.live.LiveTelemetry` reads.
+        """
+        obs = self._obs
+        obs.append(entry)
+        horizon = entry[0] - self.window_s
+        while obs[0][0] < horizon:
+            obs.popleft()
 
     def prune(self, now: float) -> None:
         """Drop observations older than ``now - window_s``."""
@@ -120,10 +135,10 @@ class RollingTelemetry:
         self.prefix = prefix
 
     def observe(self, t: float, latency_s: float, ok: bool = True) -> None:
-        """Fold one request outcome into every window."""
-        within_slo = ok and latency_s <= self.slo_latency_s
+        """Fold one request outcome into every window (one shared entry)."""
+        entry = (float(t), float(latency_s), bool(ok and latency_s <= self.slo_latency_s))
         for window in self.windows.values():
-            window.observe(t, latency_s, within_slo)
+            window.add(entry)
 
     def publish(self, registry: MetricsRegistry, now: float) -> None:
         """Refresh the rolling gauges in ``registry`` as of time ``now``."""

@@ -36,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.serve.protocol import ERR_TIMEOUT, decode_line, encode_line
+from repro.serve.protocol import ERR_TIMEOUT, LineSplitter, decode_line, encode_line
 from repro.workload.zipf import ZipfSampler
 
 __all__ = [
@@ -83,64 +83,87 @@ class _PendingQuery:
         self.results: list[dict[str, Any]] = []
 
 
-class ServeClient:
+def _expire(future: asyncio.Future[dict[str, Any]]) -> None:
+    """Guard timer: a terminal line that never came becomes a timeout."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
+class ServeClient(asyncio.Protocol):
     """One connection to a serve front end, with request multiplexing.
 
-    Request ids are connection-local integers; a background reader task
-    routes every response line to the request that asked for it, so any
-    number of coroutines may issue queries over one connection
-    concurrently (the open-loop generator relies on this).
+    Request ids are connection-local integers. The client is the
+    connection's protocol: the event loop hands it the reply bytes and it
+    routes every line to the request that asked for it, so any number of
+    coroutines may issue queries over one connection concurrently (the
+    open-loop generator relies on this). Writes are not drained: each
+    request's bytes wait no longer than its own reply, so the buffer is
+    bounded by the caller's in-flight count.
     """
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self._reader = reader
-        self._writer = writer
+    _transport: asyncio.Transport
+
+    def __init__(self) -> None:
+        self._lines = LineSplitter()
         self._pending: dict[int, _PendingQuery] = {}
         self._next_id = 0
-        self._closed = False
-        self._read_task = asyncio.create_task(self._read_loop(), name="serve-client-read")
+        #: Resolved by connection_lost; close() waits for it.
+        self._lost: asyncio.Future[None] = asyncio.get_running_loop().create_future()
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServeClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_connection(cls, host, port)
+        return client
 
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        for line in self._lines.feed(data):
+            try:
                 payload = decode_line(line)
-                req_id = payload.get("id")
-                pending = self._pending.get(req_id) if isinstance(req_id, int) else None
-                if pending is None:
-                    continue
-                if payload.get("type") == "result":
-                    pending.results.append(payload)
-                elif not pending.future.done():
-                    pending.future.set_result(payload)
-        except (ConnectionError, asyncio.CancelledError, ValueError):
-            pass
-        finally:
-            for pending in self._pending.values():
-                if not pending.future.done():
-                    pending.future.set_exception(ConnectionError("connection closed"))
+            except ValueError:
+                self._transport.close()
+                return
+            req_id = payload.get("id")
+            pending = self._pending.get(req_id) if isinstance(req_id, int) else None
+            if pending is None:
+                continue
+            if payload.get("type") == "result":
+                pending.results.append(payload)
+            elif not pending.future.done():
+                pending.future.set_result(payload)
+        if self._lines.overflowed:
+            self._transport.close()
 
-    async def _roundtrip(self, request: dict[str, Any]) -> tuple[dict[str, Any], _PendingQuery]:
-        if self._closed:
-            raise ConnectionError("client is closed")
+    def connection_lost(self, exc: Exception | None) -> None:
+        for pending in self._pending.values():
+            if not pending.future.done():
+                pending.future.set_exception(ConnectionError("connection closed"))
+        self._lost.set_result(None)
+
+    async def _roundtrip(
+        self, request: dict[str, Any], guard_s: float
+    ) -> tuple[dict[str, Any], _PendingQuery]:
+        """Send one request; its terminal line, or ``TimeoutError`` after ``guard_s``."""
+        # Closing starts the moment either side hangs up (the server's end
+        # of stream closes the transport): refuse rather than wait out the
+        # guard for a reply that cannot come.
+        if self._transport.is_closing():
+            raise ConnectionError("connection closed")
         req_id = self._next_id
         self._next_id += 1
         request["id"] = req_id
         loop = asyncio.get_running_loop()
         pending = _PendingQuery(loop.create_future())
         self._pending[req_id] = pending
+        guard = loop.call_later(guard_s, _expire, pending.future)
         try:
-            self._writer.write(encode_line(request))
-            await self._writer.drain()
+            self._transport.write(encode_line(request))
             terminal = await pending.future
         finally:
+            guard.cancel()
             self._pending.pop(req_id, None)
         return terminal, pending
 
@@ -165,9 +188,7 @@ class ServeClient:
         started = loop.time()
         guard_s = (timeout_ms / 1000.0 if timeout_ms is not None else 5.0) + 5.0
         try:
-            terminal, pending = await asyncio.wait_for(
-                self._roundtrip(request), timeout=guard_s
-            )
+            terminal, pending = await self._roundtrip(request, guard_s)
         except asyncio.TimeoutError:
             return QueryReply(status=ERR_TIMEOUT, latency_s=loop.time() - started)
         latency = loop.time() - started
@@ -182,7 +203,7 @@ class ServeClient:
         )
 
     async def _simple(self, op: str) -> dict[str, Any]:
-        terminal, _pending = await asyncio.wait_for(self._roundtrip({"op": op}), timeout=10.0)
+        terminal, _pending = await self._roundtrip({"op": op}, 10.0)
         return terminal
 
     async def info(self) -> dict[str, Any]:
@@ -199,20 +220,8 @@ class ServeClient:
         return await self._simple("metrics")
 
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._read_task.cancel()
-        try:
-            await self._read_task
-        except asyncio.CancelledError:
-            pass
-        if not self._writer.is_closing():
-            self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+        self._transport.close()
+        await self._lost
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,9 @@ discovery delay) followed by exactly one terminal line: ``done`` on
 success, ``error`` otherwise. The other ops answer with a single line.
 Error codes are the closed set :data:`ERROR_CODES`; clients can switch on
 them without parsing prose.
+
+Both ends frame the byte stream with one :class:`LineSplitter`, which
+enforces the :data:`MAX_LINE_BYTES` cap; decoding stays with the caller.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "ERR_SHUTTING_DOWN",
     "ERR_TIMEOUT",
     "ERROR_CODES",
+    "LineSplitter",
     "ProtocolError",
     "Request",
     "MAX_LINE_BYTES",
@@ -69,10 +73,14 @@ ERROR_CODES = frozenset(
     }
 )
 
-#: Reader limit for one request line; a line this long is never legitimate.
+#: Most bytes a line may hold before its newline; a longer line is never
+#: legitimate and closes the connection.
 MAX_LINE_BYTES = 64 * 1024
 
 _OPS = frozenset({"query", "ping", "info", "stats", "metrics"})
+
+#: Built once: ``json.dumps`` with any keyword builds a new encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 class ProtocolError(ValueError):
@@ -97,10 +105,67 @@ class Request:
 
 
 def encode_line(payload: Mapping[str, Any]) -> bytes:
-    """One wire line: compact JSON + newline, UTF-8."""
-    return (json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n").encode(
-        "utf-8"
-    )
+    """One wire line: compact JSON with sorted keys + newline, UTF-8."""
+    return (_encode(payload) + "\n").encode("utf-8")
+
+
+class LineSplitter:
+    """Incremental newline framing of one connection's byte stream.
+
+    :meth:`feed` takes whatever bytes the transport delivered and returns
+    every line they complete, in order and without its newline; an
+    unterminated remainder waits for the next :meth:`feed`, or for
+    :meth:`remainder` at end of stream. A line may hold up to
+    :data:`MAX_LINE_BYTES` before its newline — the rule
+    ``asyncio.StreamReader.readline`` applies with that limit. Once a line
+    breaks it (its newline lies beyond the cap, or the remainder has
+    outgrown the cap with no newline) ``overflowed`` is set: the lines
+    before it are still returned, nothing from it on ever is, and the
+    caller closes the connection.
+    """
+
+    __slots__ = ("overflowed", "_tail")
+
+    def __init__(self) -> None:
+        self.overflowed = False
+        self._tail = bytearray()
+
+    def feed(self, data: bytes) -> list[bytes]:
+        """Every line ``data`` completes; sets ``overflowed`` on a long one."""
+        tail = self._tail
+        if self.overflowed:
+            return []
+        if b"\n" not in data:
+            # Only the new bytes are scanned, so a line that trickles in
+            # costs linear time in its length.
+            tail += data
+            if len(tail) > MAX_LINE_BYTES:
+                self._overflow()
+            return []
+        if tail:
+            tail += data
+            data = bytes(tail)
+            tail.clear()
+        lines = data.split(b"\n")
+        tail += lines.pop()
+        if len(data) > MAX_LINE_BYTES:  # only then can one line be too long
+            for index, line in enumerate(lines):
+                if len(line) > MAX_LINE_BYTES:
+                    self._overflow()
+                    return lines[:index]
+            if len(tail) > MAX_LINE_BYTES:
+                self._overflow()
+        return lines
+
+    def remainder(self) -> bytes:
+        """The unterminated last line at end of stream (may be empty)."""
+        rest = bytes(self._tail)
+        self._tail.clear()
+        return rest
+
+    def _overflow(self) -> None:
+        self.overflowed = True
+        self._tail.clear()
 
 
 def decode_line(line: bytes | str) -> dict[str, Any]:

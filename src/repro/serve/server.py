@@ -14,6 +14,13 @@ Design constraints, in order:
   execution is microseconds (an in-process BFS), so a single worker
   sustains tens of thousands of queries per second; the admission queue
   is where concurrent clients wait.
+* **One hop per request.** Each connection is an :class:`asyncio.Protocol`:
+  the event loop hands it bytes, it splits lines and admits requests in
+  the same callback, and the worker writes replies straight to the
+  transport. The admission queue -> worker hand-off is the only task
+  switch a request makes. Backpressure is per connection: a client whose
+  replies pile up past the transport's high-water mark is not read from
+  until they drain.
 * **Serving must be digest-neutral.** Served queries go through
   :meth:`~repro.gnutella.fast.FastGnutellaEngine.serve_query`, which draws
   no RNG, schedules no kernel events, and mutates no simulation state; the
@@ -54,7 +61,7 @@ from repro.serve.protocol import (
     ERR_OVERLOAD,
     ERR_SHUTTING_DOWN,
     ERR_TIMEOUT,
-    MAX_LINE_BYTES,
+    LineSplitter,
     ProtocolError,
     Request,
     encode_line,
@@ -117,24 +124,73 @@ class ServeConfig:
     access_log_sample: float = 1.0
 
 
-class _Connection:
-    """One client connection: a guarded writer plus a liveness flag."""
+class _Connection(asyncio.Protocol):
+    """One client connection: line framing in, guarded writes out.
 
-    __slots__ = ("writer", "alive")
+    ``alive`` turns false the moment the client is gone — end of stream,
+    an over-long line, a lost transport — so the worker cancels whatever
+    the connection still has queued.
+    """
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
+    __slots__ = ("server", "transport", "alive", "_lines")
+
+    transport: asyncio.Transport
+
+    def __init__(self, server: QueryServer) -> None:
+        self.server = server
         self.alive = True
+        self._lines = LineSplitter()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        state = self.server._state
+        if state is None:
+            self._close()
+            return
+        state.connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        dispatch = self.server._dispatch
+        for line in self._lines.feed(data):
+            if line.strip():
+                dispatch(self, line)
+        if self._lines.overflowed:
+            self._close()
+
+    def eof_received(self) -> None:
+        # An unterminated last line still counts; returning None then
+        # closes the transport once the replies written so far are out.
+        line = self._lines.remainder()
+        if line.strip():
+            self.server._dispatch(self, line)
+        self.alive = False
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.alive = False
+        state = self.server._state
+        if state is not None:
+            state.connections.discard(self)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
 
     def send(self, payload: dict[str, Any]) -> None:
         """Best-effort line write; a dead connection swallows silently."""
-        if not self.alive or self.writer.is_closing():
+        if not self.alive or self.transport.is_closing():
             self.alive = False
             return
         try:
-            self.writer.write(encode_line(payload))
+            self.transport.write(encode_line(payload))
         except (ConnectionError, RuntimeError):
             self.alive = False
+
+    def _close(self) -> None:
+        self.alive = False
+        self.transport.close()
 
 
 @dataclass(slots=True)
@@ -259,11 +315,8 @@ class QueryServer:
         pacer_task: asyncio.Task[None] | None = None
         if self.serve.time_rate > 0:
             pacer_task = asyncio.create_task(self._pacer_loop(), name="serve-pacer")
-        server = await asyncio.start_server(
-            self._handle_client,
-            host=self.serve.host,
-            port=self.serve.port,
-            limit=MAX_LINE_BYTES,
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host=self.serve.host, port=self.serve.port
         )
         self._state = _ServerState(
             queue=queue, worker=worker, server=server, pacer_task=pacer_task
@@ -296,9 +349,7 @@ class QueryServer:
         except asyncio.CancelledError:
             pass
         for conn in list(state.connections):
-            conn.alive = False
-            if not conn.writer.is_closing():
-                conn.writer.close()
+            conn._close()
         # The worker only refreshes the gauge on dequeue; after a drain (or a
         # drain timeout that leaves requests queued) report the true depth.
         self._queue_depth.set(state.queue.qsize())
@@ -334,47 +385,8 @@ class QueryServer:
             self._advance_world()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Request dispatch (called from _Connection.data_received)
     # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        state = self._state
-        if state is None:
-            writer.close()
-            return
-        conn = _Connection(writer)
-        state.connections.add(conn)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    break
-                if not line:
-                    break
-                if line.strip():
-                    self._dispatch(conn, line)
-                    await self._drain_writer(conn)
-        finally:
-            conn.alive = False
-            state.connections.discard(conn)
-            if not writer.is_closing():
-                writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    @staticmethod
-    async def _drain_writer(conn: _Connection) -> None:
-        """Apply transport backpressure to this client's own replies."""
-        if conn.alive and not conn.writer.is_closing():
-            try:
-                await conn.writer.drain()
-            except (ConnectionError, RuntimeError):
-                conn.alive = False
-
     def _dispatch(self, conn: _Connection, line: bytes) -> None:
         try:
             request = parse_request(line)

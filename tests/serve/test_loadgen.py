@@ -14,6 +14,7 @@ from repro.serve.loadgen import (
     LatencySummary,
     LoadgenConfig,
     LoadReport,
+    ServeClient,
     ZipfQueryMix,
     percentile,
     run_closed_loop,
@@ -107,6 +108,50 @@ async def _server() -> tuple[QueryServer, str, int]:
     )
     host, port = await server.start()
     return server, host, port
+
+
+class TestServeClient:
+    def test_query_after_server_shutdown_raises_at_once(self):
+        async def scenario():
+            server, host, port = await _server()
+            client = await ServeClient.connect(host, port)
+            try:
+                assert (await client.query(1, timeout_ms=100)).status == "ok"
+                await server.shutdown()
+                await asyncio.sleep(0.05)  # the client sees the server hang up
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                # The guard is 5.1 s; a refusal must not wait for it.
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(client.query(2, timeout_ms=100), timeout=1.0)
+                assert loop.time() - started < 1.0
+                with pytest.raises(ConnectionError):
+                    await client.ping()
+            finally:
+                await client.close()
+
+        asyncio.run(scenario())
+
+    def test_guard_turns_a_missing_reply_into_a_timeout(self):
+        async def scenario():
+            # A peer that reads requests and never answers.
+            async def silent(reader, writer):
+                await reader.read()
+                writer.close()
+
+            listener = await asyncio.start_server(silent, "127.0.0.1", 0)
+            host, port = listener.sockets[0].getsockname()[:2]
+            client = await ServeClient.connect(host, port)
+            try:
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(client._roundtrip({"op": "ping"}, 0.05), 2.0)
+                assert not client._pending
+            finally:
+                await client.close()
+                listener.close()
+                await listener.wait_closed()
+
+        asyncio.run(scenario())
 
 
 class TestClosedLoop:

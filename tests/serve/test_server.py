@@ -9,12 +9,14 @@ it holds the admission queue still while the test arranges the race.
 """
 
 import asyncio
+import json
+import socket
 
 import pytest
 
 from repro.gnutella.config import GnutellaConfig
 from repro.serve.loadgen import ServeClient
-from repro.serve.protocol import encode_line
+from repro.serve.protocol import MAX_LINE_BYTES, encode_line
 from repro.serve.server import QueryServer, ServeConfig
 
 
@@ -140,6 +142,136 @@ class TestBasicServing:
     def test_detailed_engine_rejected(self):
         with pytest.raises(ValueError):
             QueryServer(_config(), _serve_config(), engine="detailed")
+
+
+def _padded_ping(req_id: int, size: int) -> bytes:
+    """A ping line of exactly ``size`` bytes before its newline."""
+    bare = encode_line({"op": "ping", "id": req_id, "pad": ""})[:-1]
+    padded = bare[:-2] + b"x" * (size - len(bare)) + b'"}'
+    assert len(padded) == size
+    return padded + b"\n"
+
+
+async def _read_lines(reader: asyncio.StreamReader, n: int) -> list[dict]:
+    return [
+        json.loads(await asyncio.wait_for(reader.readline(), timeout=5.0))
+        for _ in range(n)
+    ]
+
+
+class TestFraming:
+    def test_pipelined_burst_is_answered_in_order(self):
+        async def scenario():
+            server = QueryServer(_config(), _serve_config())
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(
+                    b"".join(
+                        encode_line({"op": "query", "id": i, "item": i % 40})
+                        for i in range(50)
+                    )
+                )
+                await writer.drain()
+                terminals = []
+                while len(terminals) < 50:
+                    (line,) = await _read_lines(reader, 1)
+                    if line["type"] != "result":
+                        terminals.append(line)
+                assert [t["id"] for t in terminals] == list(range(50))
+                assert all(t["status"] == "ok" for t in terminals)
+                assert server.counts.ok == 50
+            finally:
+                writer.close()
+                await server.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_line_cap_is_max_line_bytes(self):
+        async def scenario():
+            server = QueryServer(_config(), _serve_config())
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(_padded_ping(1, MAX_LINE_BYTES))
+                await writer.drain()
+                assert (await _read_lines(reader, 1))[0]["id"] == 1
+                # Two short lines, then one byte over the cap: the short
+                # ones are answered, then the server hangs up.
+                writer.write(
+                    encode_line({"op": "ping", "id": 2})
+                    + encode_line({"op": "ping", "id": 3})
+                    + _padded_ping(4, MAX_LINE_BYTES + 1)
+                    + encode_line({"op": "ping", "id": 5})
+                )
+                await writer.drain()
+                assert [r["id"] for r in await _read_lines(reader, 2)] == [2, 3]
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+                await _poll(lambda: not server._state.connections)
+            finally:
+                writer.close()
+                await server.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_unterminated_last_line_before_eof_is_answered(self):
+        async def scenario():
+            server = QueryServer(_config(), _serve_config())
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(encode_line({"op": "ping", "id": 1})[:-1])
+                writer.write_eof()
+                (pong,) = await _read_lines(reader, 1)
+                assert pong["type"] == "pong" and pong["id"] == 1
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            finally:
+                writer.close()
+                await server.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_client_that_stops_reading_is_paused_until_it_reads(self):
+        """Replies pile up, the server stops reading the client, and the
+        client's own writes stall; once it reads, every request is answered."""
+
+        async def scenario():
+            server = QueryServer(_config(), _serve_config())
+            host, port = await server.start()
+            # Small kernel buffers (accepted sockets inherit the listener's)
+            # so the stall shows after kilobytes rather than megabytes.
+            for sock in server._state.server.sockets:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+            reader, writer = await asyncio.open_connection(host, port)
+            sock = writer.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+            sent = 0
+            try:
+                burst = b"".join(
+                    encode_line({"op": "ping", "id": i}) for i in range(1000)
+                )
+                while sent < 200_000:
+                    writer.write(burst)
+                    sent += 1000
+                    try:
+                        await asyncio.wait_for(writer.drain(), timeout=0.5)
+                    except asyncio.TimeoutError:
+                        break
+                else:
+                    raise AssertionError("server kept reading a client that never reads")
+                answered = 0
+                while answered < sent:
+                    line = await asyncio.wait_for(reader.readline(), timeout=5.0)
+                    assert json.loads(line)["type"] == "pong"
+                    answered += 1
+                await asyncio.wait_for(writer.drain(), timeout=5.0)
+            finally:
+                writer.close()
+                await server.shutdown()
+
+        asyncio.run(scenario())
 
 
 class TestOverload:
