@@ -11,11 +11,10 @@ default case-study configuration — :class:`~repro.core.selection.SelectAll`
 flooding, ``forward_from_holders=False``, a plain hop-limit termination —
 with these structural replacements:
 
-* an :class:`AdjacencySnapshot`: one flat list of per-node adjacency rows
-  bound to the *live* backing lists of each node's outgoing
-  :class:`~repro.core.neighbors.NeighborList` (:meth:`~repro.core.neighbors.
-  NeighborList.view`). Every link add / sever / logoff the protocol performs
-  mutates those rows in place, so the snapshot is incrementally maintained by
+* the **live id slab** of a :class:`~repro.core.soa.NeighborTable`: node
+  ``u``'s outgoing row is ``ids[u*stride : u*stride+deg[u]]`` of one flat
+  list. Every link add / sever / logoff the protocol performs mutates the
+  slab in place, so the kernel's view of the overlay is current by
   construction and is never re-materialized — not per query, not per hop;
 * an **epoch-stamped visited array** (generation-counter trick): the
   per-query ``seen`` set becomes a preallocated int array reused across
@@ -30,11 +29,11 @@ with these structural replacements:
   cumulative end)* span, the sender of a whole span is computed once, and a
   result's discovery path is recovered by binary search over the span ends
   (results are rare; enqueues are not);
-* an **inverted holder index** (item -> set of holders), so a node's "do I
-  hold this?" check is one set membership and — decisively — the *final*
-  hop level, which is the bulk of a flood and never forwards, collapses to
-  a single C-level ``set.intersection`` over the level slice instead of a
-  Python-level loop;
+* an **inverted holder index** (:class:`HolderIndex`: item -> set of
+  holders), so a node's "do I hold this?" check is one set membership and —
+  decisively — the *final* hop level, which is the bulk of a flood and never
+  forwards, collapses to a single C-level ``set.intersection`` over the
+  level slice instead of a Python-level loop;
 * **precomputed delay rows** (:meth:`~repro.net.latency.LatencyModel.
   delay_rows`): each result's path delay is reconstructed by plain
   ``rows[a][b]`` indexing instead of a method call per path edge.
@@ -58,11 +57,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.neighbors import NeighborList
 from repro.core.soa import NeighborTable
 from repro.types import ItemId, NodeId, QueryOutcome, QueryResult
 
-__all__ = ["AdjacencySnapshot", "FloodFastPath", "HolderIndex"]
+__all__ = ["FloodFastPath", "HolderIndex"]
 
 #: Shared holder set for items nobody holds (no per-query allocation).
 _NO_HOLDERS: frozenset[NodeId] = frozenset()
@@ -71,25 +69,24 @@ _NO_HOLDERS: frozenset[NodeId] = frozenset()
 class HolderIndex:
     """Compact inverted holder index: item -> set of holders, CSR-backed.
 
-    The dict-of-sets index :class:`FloodFastPath` builds from raw holdings
-    is the right shape per query but the wrong shape per *node*: at 50k
-    peers with 50-song libraries it is millions of hash-set entries spread
-    over a million tiny sets — gigabytes of pointer soup, built eagerly for
-    items that are never queried. This index stores the initial libraries
-    as two parallel int64 arrays sorted by item (a CSR without the offsets
-    column — the per-item slice is recovered by binary search), which is
-    ~16 bytes per (item, holder) entry, and materializes a *set* per item
-    only on first query, cached thereafter. Query skew (the Zipf catalog)
-    keeps the cache to the popular tail that actually gets asked about.
+    A dict of holder sets is the right shape per query but the wrong shape
+    per *node*: at 50k peers with 50-song libraries it is millions of
+    hash-set entries spread over a million tiny sets — gigabytes of pointer
+    soup, built eagerly for items that are never queried. This index stores
+    the initial libraries as two parallel int64 arrays sorted by item (a CSR
+    without the offsets column — the per-item slice is recovered by binary
+    search), which is ~16 bytes per (item, holder) entry, and materializes a
+    *set* per item only on first query, cached thereafter. Query skew (the
+    Zipf catalog) keeps the cache to the popular tail that actually gets
+    asked about.
 
     Downloads (:meth:`add_holder`) land in the cached set when the item has
     one, else in a per-item overflow list that is folded in when the set is
     first built — so reads always observe every add, in either order.
 
-    ``get(item, default)`` is dict-compatible on purpose: the search kernel
-    uses ``holders.get(item, _NO_HOLDERS)`` without caring which index
-    implementation is behind it (``default`` is never needed here — every
-    item resolves to a real, possibly empty, set).
+    ``get(item, default)`` keeps the dict signature the search kernel calls
+    it with (``default`` is never needed here — every item resolves to a
+    real, possibly empty, set).
     """
 
     __slots__ = ("n_nodes", "_item_ids", "_owners", "_cache", "_extra")
@@ -152,45 +149,19 @@ class HolderIndex:
         return self.n_nodes
 
 
-class AdjacencySnapshot:
-    """Flat per-node adjacency rows over the live overlay.
-
-    ``rows[u]`` is the live backing list of node ``u``'s outgoing
-    :class:`~repro.core.neighbors.NeighborList` — the very list object the
-    protocol mutates on every link add, sever, and logoff
-    (:meth:`~repro.core.neighbors.NeighborList.view` guarantees the object's
-    identity is stable for the list's lifetime). Holding the rows once
-    therefore keeps the snapshot permanently current at zero maintenance
-    cost, and the search inner loop reaches a node's neighbors with a single
-    list index instead of an attribute chase plus method call per hop.
-
-    Rows are read-only to this class; mutate only through the owning
-    :class:`~repro.core.neighbors.NeighborList`.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, neighbor_lists: Iterable[NeighborList]) -> None:
-        self.rows: list[list[NodeId]] = [nl.view() for nl in neighbor_lists]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 class FloodFastPath:
     """The flood-query hot path over one live overlay.
 
     Parameters
     ----------
     adjacency:
-        Live adjacency rows (one per node, dense by node id). Rows must obey
-        the :class:`~repro.core.neighbors.NeighborList` invariants the
-        protocol maintains: no duplicate members and no self-membership.
+        The live outgoing :class:`~repro.core.soa.NeighborTable` (one row
+        per node, dense by node id). Rows obey the invariants the protocol
+        maintains: no duplicate members and no self-membership.
     holdings:
-        ``holdings[u]`` is node ``u``'s item set at construction time. The
-        constructor builds an inverted item -> holders index from it; any
-        later mutation **must** be mirrored through :meth:`add_holder`
-        (the engines' download path does).
+        The inverted item -> holders :class:`HolderIndex`. Any later
+        library growth **must** be mirrored through :meth:`add_holder` (the
+        engine's download path does).
     delay_rows:
         ``delay_rows[a][b]`` is the one-way delay of the ``a``-``b`` link as
         a Python float — :meth:`repro.net.latency.LatencyModel.delay_rows`
@@ -204,7 +175,6 @@ class FloodFastPath:
     """
 
     __slots__ = (
-        "_rows",
         "_slab_ids",
         "_slab_deg",
         "_slab_stride",
@@ -225,8 +195,8 @@ class FloodFastPath:
 
     def __init__(
         self,
-        adjacency: AdjacencySnapshot | NeighborTable,
-        holdings: Sequence[set[ItemId]] | HolderIndex,
+        adjacency: NeighborTable,
+        holdings: HolderIndex,
         delay_rows: Sequence[Sequence[float]],
         max_hops: int,
     ) -> None:
@@ -238,38 +208,17 @@ class FloodFastPath:
             )
         if max_hops < 1:
             raise ValueError(f"max_hops must be >= 1, got {max_hops}")
-        if isinstance(adjacency, NeighborTable):
-            # Struct-of-arrays mode: walk the live id slab directly (row u =
-            # ids[u*slots : u*slots+deg[u]]), no per-node row objects at all.
-            self._rows = None
-            self._slab_ids = adjacency.ids
-            self._slab_deg = adjacency.deg
-            self._slab_stride = adjacency.slots
-        else:
-            self._rows = adjacency.rows
-            self._slab_ids = None
-            self._slab_deg = None
-            self._slab_stride = 0
+        # Walk the live id slab directly (row u = ids[u*slots :
+        # u*slots+deg[u]]), no per-node row objects at all.
+        self._slab_ids = adjacency.ids
+        self._slab_deg = adjacency.deg
+        self._slab_stride = adjacency.slots
         self._delay_rows = delay_rows
         self.max_hops = max_hops
-        if isinstance(holdings, HolderIndex):
-            # Compact CSR-backed index, shared with (and maintained by) the
-            # owning engine across fast-path rebinds.
-            self._holders_of: dict[ItemId, set[NodeId]] | HolderIndex = holdings
-        else:
-            # Inverted holder index: _holders_of[item] is the set of nodes
-            # holding item. `node in _holders_of[item]` == `item in
-            # holdings[node]`, but the set-of-holders orientation also lets a
-            # whole hop level be checked with one set.intersection call.
-            holders_of: dict[ItemId, set[NodeId]] = {}
-            for node, library in enumerate(holdings):
-                for item in library:
-                    members = holders_of.get(item)
-                    if members is None:
-                        holders_of[item] = {NodeId(node)}
-                    else:
-                        members.add(NodeId(node))
-            self._holders_of = holders_of
+        # `node in _holders_of.get(item)` == `item in library[node]`, but the
+        # set-of-holders orientation also lets a whole hop level be checked
+        # with one set.intersection call.
+        self._holders_of = holdings
         # Epoch-stamped visited marks: visited[u] == current epoch <=> u has
         # been delivered the current query. Bumping the epoch "clears" the
         # array in O(1); the buffers below are reused across queries.
@@ -310,15 +259,7 @@ class FloodFastPath:
         index and the library sets must never diverge (idempotent, like
         ``set.add``).
         """
-        holders = self._holders_of
-        if isinstance(holders, HolderIndex):
-            holders.add_holder(node, item)
-            return
-        members = holders.get(item)
-        if members is None:
-            holders[item] = {node}
-        else:
-            members.add(node)
+        self._holders_of.add_holder(node, item)
 
     def _path_delay(self, initiator: NodeId, node: NodeId, parent: int) -> float:
         """One-way delay of ``node``'s discovery path, walked backwards in
@@ -353,10 +294,10 @@ class FloodFastPath:
         Equivalent to ``generic_search(view, initiator, item,
         TTLTermination(max_hops))`` over a view of the same overlay,
         holdings, and delays — same results in the same order, same message
-        and contact counts, delays accumulated in the same order.
+        and contact counts, delays accumulated in the same order. Node
+        ``u``'s row is read as a slice of the live id slab,
+        ``ids[u*stride : u*stride+deg[u]]``.
         """
-        if self._rows is None:
-            return self._search_slab(initiator, item, issued_at, max_hops)
         # Wall-clock on purpose: the profiler measures real elapsed time and
         # never feeds back into query outcomes.
         timed = self.profile is not None or self.perf is not None
@@ -366,7 +307,9 @@ class FloodFastPath:
         self._epoch += 1
         epoch = self._epoch
         visited = self._visited
-        rows = self._rows
+        ids = self._slab_ids
+        deg = self._slab_deg
+        stride = self._slab_stride
         delay_rows = self._delay_rows
         holders = self._holders_of.get(item, _NO_HOLDERS)
         trace_node = self._trace_node
@@ -396,7 +339,8 @@ class FloodFastPath:
         # enqueued, or is the initiator), so the visited filter subsumes the
         # reference's explicit ``target != sender`` test.
         visited[initiator] = epoch
-        first_row = rows[initiator]
+        base = initiator * stride
+        first_row = ids[base : base + deg[initiator]]
         messages = len(first_row)
         for t in first_row:
             visited[t] = epoch
@@ -420,7 +364,8 @@ class FloodFastPath:
                         QueryResult(node, item, 1, 2.0 * delay_rows[initiator][node])
                     )
                     continue
-                row = rows[node]
+                base = node * stride
+                row = ids[base : base + deg[node]]
                 # Duplicate deliveries consume bandwidth: count every copy
                 # sent — all neighbors except the sender.
                 messages += len(row) - (initiator in row)
@@ -464,7 +409,8 @@ class FloodFastPath:
                             )
                         )
                         continue
-                    row = rows[node]
+                    base = node * stride
+                    row = ids[base : base + deg[node]]
                     messages += len(row) - (sender in row)
                     before = len(trace_node)
                     for t in row:
@@ -491,153 +437,6 @@ class FloodFastPath:
             if hits:
                 # Entries are unique, so .index recovers each hit's slot;
                 # sorting restores first-delivery (reply) order.
-                for offset in sorted(level.index(h) for h in hits):
-                    node = level[offset]
-                    parent = span_parent[bisect_right(span_end, start + offset)]
-                    results_append(
-                        QueryResult(
-                            node,
-                            item,
-                            hops,
-                            2.0 * self._path_delay(initiator, node, parent),
-                        )
-                    )
-
-        if level_ends is not None:
-            self.last_level_ends = level_ends
-        if timed:
-            elapsed = perf_counter() - t0  # repro-lint: disable=R002
-            if self.profile is not None:
-                self.profile.add("fastpath.search", elapsed)
-            if self.perf is not None:
-                self.perf.record_named("fastpath.search", elapsed)
-        return QueryOutcome(
-            initiator, item, issued_at, tuple(results), messages, len(trace_node)
-        )
-
-    def _search_slab(
-        self,
-        initiator: NodeId,
-        item: ItemId,
-        issued_at: float,
-        max_hops: int | None,
-    ) -> QueryOutcome:
-        """:meth:`search` over a :class:`~repro.core.soa.NeighborTable` slab.
-
-        Byte-for-byte the same BFS as the row-mode body — same enqueue-time
-        visited marks, span compression, level hoisting, message accounting
-        and result order — with each node's row read as a slice of the flat
-        id slab (``ids[u*stride : u*stride+deg[u]]``) instead of a per-node
-        list object. The two bodies are pinned together by the randomized
-        equivalence tests in ``tests/core/test_fastpath.py`` and the
-        engine-level digest matrix (``soa`` vs object engine).
-        """
-        timed = self.profile is not None or self.perf is not None
-        t0 = perf_counter() if timed else 0.0  # repro-lint: disable=R002
-        limit = self.max_hops if max_hops is None else max_hops
-        self.queries_run += 1
-        self._epoch += 1
-        epoch = self._epoch
-        visited = self._visited
-        ids = self._slab_ids
-        deg = self._slab_deg
-        stride = self._slab_stride
-        delay_rows = self._delay_rows
-        holders = self._holders_of.get(item, _NO_HOLDERS)
-        trace_node = self._trace_node
-        span_parent = self._span_parent
-        span_end = self._span_end
-        del trace_node[:]
-        del span_parent[:]
-        del span_end[:]
-        extend_node = trace_node.extend
-        parent_append = span_parent.append
-        end_append = span_end.append
-
-        results: list[QueryResult] = []
-        results_append = results.append
-
-        visited[initiator] = epoch
-        base = initiator * stride
-        first_row = ids[base : base + deg[initiator]]
-        messages = len(first_row)
-        for t in first_row:
-            visited[t] = epoch
-        extend_node(first_row)
-        parent_append(-1)
-        end_append(len(first_row))
-        node_append = trace_node.append
-        level_ends = [len(first_row)] if self.collect_levels else None
-
-        if limit > 1:
-            for idx, node in enumerate(first_row):
-                if node in holders:
-                    results_append(
-                        QueryResult(node, item, 1, 2.0 * delay_rows[initiator][node])
-                    )
-                    continue
-                base = node * stride
-                row = ids[base : base + deg[node]]
-                messages += len(row) - (initiator in row)
-                before = len(trace_node)
-                for t in row:
-                    if visited[t] != epoch:
-                        visited[t] = epoch
-                        node_append(t)
-                grown = len(trace_node)
-                if grown != before:
-                    parent_append(idx)
-                    end_append(grown)
-            start, end = len(first_row), len(trace_node)
-            if level_ends is not None and end > start:
-                level_ends.append(end)
-            hops = 2
-            level_span = 1
-        else:
-            start, end = 0, len(first_row)
-            hops = 1
-
-        while start < end and hops < limit:
-            n_spans = len(span_parent)
-            seg_lo = start
-            for k in range(level_span, n_spans):
-                seg_hi = span_end[k]
-                parent = span_parent[k]
-                sender = trace_node[parent]
-                for idx, node in enumerate(trace_node[seg_lo:seg_hi], seg_lo):
-                    if node in holders:
-                        results_append(
-                            QueryResult(
-                                node,
-                                item,
-                                hops,
-                                2.0 * self._path_delay(initiator, node, parent),
-                            )
-                        )
-                        continue
-                    base = node * stride
-                    row = ids[base : base + deg[node]]
-                    messages += len(row) - (sender in row)
-                    before = len(trace_node)
-                    for t in row:
-                        if visited[t] != epoch:
-                            visited[t] = epoch
-                            node_append(t)
-                    grown = len(trace_node)
-                    if grown != before:
-                        parent_append(idx)
-                        end_append(grown)
-                seg_lo = seg_hi
-            level_span = n_spans
-            start, end = end, len(trace_node)
-            if level_ends is not None and end > start:
-                level_ends.append(end)
-            hops += 1
-
-        if start < end:
-            level = trace_node[start:end]
-            hits = holders.intersection(level)
-            if hits:
                 for offset in sorted(level.index(h) for h in hits):
                     node = level[offset]
                     parent = span_parent[bisect_right(span_end, start + offset)]

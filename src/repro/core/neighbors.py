@@ -100,17 +100,14 @@ class NeighborList:
     def view(self) -> list[NodeId]:
         """The live member list, zero-copy. Treat as read-only.
 
-        Exists for the per-query hot path of the simulation engines, where
-        copying every neighbor list would dominate; mutate only through
-        :meth:`add` / :meth:`remove`.
+        Exists for per-hop reads (the reference search, the exploration
+        walker), where copying every neighbor list would dominate; mutate
+        only through :meth:`add` / :meth:`remove`.
 
         Identity guarantee: the returned list object is stable for the
         lifetime of this ``NeighborList`` — :meth:`add`, :meth:`remove`,
         :meth:`discard` and :meth:`clear` all mutate it in place and never
-        rebind it. Callers may therefore hold it as a live adjacency row
-        (see :class:`repro.core.fastpath.AdjacencySnapshot`): every link
-        add / sever / logoff the protocol performs updates the row
-        incrementally, with no per-hop re-materialization.
+        rebind it.
         """
         return self._order
 

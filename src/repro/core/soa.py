@@ -1,14 +1,13 @@
 """Struct-of-arrays peer state: the engine core at 100k peers.
 
-The object-per-peer layout (:class:`~repro.gnutella.node.PeerState` holding a
-:class:`~repro.core.neighbors.NeighborState` holding two
-:class:`~repro.core.neighbors.NeighborList`\\ s, each a list *plus* a set)
-costs roughly a kilobyte per peer across eight heap objects, and every hot
-read is an attribute chase. That is irrelevant at the paper's 2,000 users and
-prohibitive at the ROADMAP's 100k-1M: the flood kernel spends its time
-hopping between objects instead of walking memory.
+An object per peer (holding a :class:`~repro.core.neighbors.NeighborState`
+holding two :class:`~repro.core.neighbors.NeighborList`\\ s, each a list
+*plus* a set) costs roughly a kilobyte per peer across eight heap objects,
+and every hot read is an attribute chase. That is irrelevant at the paper's
+2,000 users and prohibitive at the ROADMAP's 100k-1M: the flood kernel would
+spend its time hopping between objects instead of walking memory.
 
-This module keeps the exact same *semantics* in flat, index-addressed slabs:
+This module keeps the per-peer *semantics* in flat, index-addressed slabs:
 
 ``NeighborTable``
     One contiguous ``list[int]`` of ``n * slots`` ids plus a degree column.
@@ -21,32 +20,31 @@ This module keeps the exact same *semantics* in flat, index-addressed slabs:
 ``PeerArrays``
     The whole population's mutable scalars as columns — an online *bitmap*
     (``bytearray``), sessions / query-epoch / request counters as flat int
-    lists — plus the two neighbor tables and the per-node
+    lists — plus the neighbor rows and the per-node
     :class:`~repro.core.statistics.StatsTable` ledgers. (The benefit ledger
     itself stays a per-node sparse mapping: it is keyed by *encountered*
     peer, which is unbounded and sparse, so a hash map per node is the
     compact layout; the dense per-peer counters are what flatten.)
 
 ``SoAPeer`` / ``SoANeighborState`` / ``SlotNeighborList``
-    Thin pre-built views giving every slab cell the full ``PeerState``
-    interface, so the protocol, the observability walkers, and the test
-    suite run unchanged over either layout. The views hold no state of
-    their own — every read/write lands in the arrays — which is what makes
-    a ``soa=True`` engine bit-identical to the object engine: same methods,
-    same order, same floats.
+    Thin pre-built views giving every slab cell a per-peer interface
+    (``peer.online``, ``peer.neighbors.outgoing.add(...)``, ...), so the
+    protocol, the observability walkers, and the test suite read the arrays
+    through one readable API. The views hold no state of their own — every
+    read/write lands in the arrays.
 
-The one interface difference is :meth:`SlotNeighborList.view`, which returns
-a fresh copy per call instead of a live identity-stable list (a slab row has
-no per-node list object to share). The flood fast path never calls it in SoA
-mode — it walks the slab directly — and the reference search treats the
-result as read-only, so the distinction is invisible to callers that honor
-the documented read-only contract.
+:meth:`SlotNeighborList.view` returns a fresh copy per call (a slab row has
+no per-node list object to share). The flood fast path never calls it — it
+walks the slab directly — and the reference search treats the result as
+read-only.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
+from repro.core.neighbors import NeighborList
 from repro.core.statistics import StatsTable
 from repro.errors import NeighborListError
 from repro.types import NodeId
@@ -217,9 +215,9 @@ class SlotNeighborList:
 
         A slab row has no per-node list object whose identity could be
         stable, so unlike :meth:`~repro.core.neighbors.NeighborList.view`
-        this allocates per call. The flood fast path never calls it in SoA
-        mode (it walks the slab); only the reference search and the
-        exploration walker do, where a four-element copy is noise.
+        this allocates per call. The flood fast path never calls it (it
+        walks the slab); only the reference search and the exploration
+        walker do, where a four-element copy is noise.
         """
         return self._table.row(self._node)
 
@@ -235,7 +233,12 @@ class SoANeighborState:
     def __init__(self, arrays: PeerArrays, node: NodeId) -> None:
         self.node = node
         self.outgoing = SlotNeighborList(arrays.out, node)
-        self.incoming = SlotNeighborList(arrays.incoming, node)
+        incoming = arrays.incoming
+        self.incoming: SlotNeighborList | NeighborList = (
+            SlotNeighborList(incoming, node)
+            if isinstance(incoming, NeighborTable)
+            else incoming[node]
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -245,7 +248,7 @@ class SoANeighborState:
 
 
 class SoAPeer:
-    """One peer's ``PeerState`` interface over the population arrays."""
+    """One peer's state, read and written through the population arrays."""
 
     __slots__ = ("_arrays", "node", "neighbors")
 
@@ -316,11 +319,8 @@ class SoAPeerList(list):
     """A dense peer list that also exposes its backing :class:`PeerArrays`.
 
     A real ``list`` (indexing and iteration at native speed for every
-    duck-typed consumer), with one extra attribute the hot paths use to
-    reach the slabs directly: ``peers.arrays``. Code that only ever sees a
-    plain ``list[PeerState]`` — the object engine, the asymmetric engine's
-    rebuilt population, standalone protocol tests — simply lacks the
-    attribute, which is the dispatch signal.
+    consumer), with one extra attribute the hot paths use to reach the
+    slabs directly: ``peers.arrays``.
     """
 
     __slots__ = ("arrays",)
@@ -333,14 +333,24 @@ class SoAPeerList(list):
 class PeerArrays:
     """All mutable per-peer state of one population, as columns.
 
-    Layout (``n`` peers, ``slots`` symmetric neighbor capacity)::
+    Layout (``n`` peers, ``slots`` outgoing capacity, ``in_capacity``
+    incoming capacity)::
 
         online                bytearray[n]      the online bitmap
         sessions              list[int][n]
         query_epoch           list[int][n]
         requests_since_update list[int][n]
-        out / incoming        NeighborTable(n, slots)
+        out                   NeighborTable(n, slots)
+        incoming              NeighborTable(n, in_capacity)   (finite)
+                              list[NeighborList][n]           (math.inf)
         stats                 list[StatsTable][n]   (sparse per-node ledgers)
+
+    The incoming rows take the capacity the relation needs. Symmetric
+    relations (the default, ``in_capacity=None``) mirror the outgoing rows
+    and share their ``slots`` stride. The *pure asymmetric* relation of
+    Section 3.1 (``in_capacity=math.inf``) lets a supplier carry any number
+    of consumers, which no fixed stride holds, so each of its rows is one
+    unbounded :class:`~repro.core.neighbors.NeighborList`.
     """
 
     __slots__ = (
@@ -355,7 +365,7 @@ class PeerArrays:
         "stats",
     )
 
-    def __init__(self, n: int, slots: int) -> None:
+    def __init__(self, n: int, slots: int, in_capacity: float | None = None) -> None:
         self.n = n
         self.slots = slots
         self.online = bytearray(n)
@@ -363,9 +373,13 @@ class PeerArrays:
         self.query_epoch = [0] * n
         self.requests_since_update = [0] * n
         self.out = NeighborTable(n, slots)
-        self.incoming = NeighborTable(n, slots)
+        self.incoming: NeighborTable | list[NeighborList] = (
+            [NeighborList(math.inf) for _ in range(n)]
+            if in_capacity == math.inf
+            else NeighborTable(n, slots if in_capacity is None else int(in_capacity))
+        )
         self.stats = [StatsTable() for _ in range(n)]
 
     def peers(self) -> SoAPeerList:
-        """Build the dense ``PeerState``-compatible view list (once)."""
+        """Build the dense per-peer view list (once)."""
         return SoAPeerList(self, [SoAPeer(self, NodeId(u)) for u in range(self.n)])

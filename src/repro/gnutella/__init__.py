@@ -26,7 +26,6 @@ from repro.gnutella.config import GnutellaConfig
 from repro.gnutella.detailed import DetailedGnutellaEngine
 from repro.gnutella.fast import FastGnutellaEngine
 from repro.gnutella.metrics import SimulationMetrics
-from repro.gnutella.node import PeerState
 from repro.gnutella.probes import ClusteringProbe, DegreeProbe
 from repro.gnutella.simulation import SimulationResult, run_simulation
 
@@ -38,7 +37,6 @@ __all__ = [
     "DetailedGnutellaEngine",
     "FastGnutellaEngine",
     "GnutellaConfig",
-    "PeerState",
     "SimulationMetrics",
     "SimulationResult",
     "run_simulation",

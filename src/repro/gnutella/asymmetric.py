@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
+from repro.core.soa import SoAPeer
 from repro.core.update import plan_reconfiguration
 from repro.gnutella.fast import FastGnutellaEngine
-from repro.gnutella.node import PeerState
 from repro.gnutella.protocol import GnutellaProtocol
 from repro.obs.trace import PID_PROTOCOL
 from repro.types import NodeId
@@ -53,6 +53,8 @@ class AsymmetricProtocol(GnutellaProtocol):
     *pure asymmetric* case of Section 3.1, where the network is consistent
     by construction no matter who rewires when).
     """
+
+    in_capacity = math.inf
 
     # ------------------------------------------------------------------
     # Directed link primitives
@@ -156,12 +158,9 @@ class AsymmetricProtocol(GnutellaProtocol):
         peer = self.peers[node]
         formed = 0
         exclude = [node, *peer.neighbors.outgoing]
-        want = peer.neighbors.outgoing.free_slots
-        if want == math.inf or want <= 0:
-            want_int = 0 if want <= 0 else self.slots
-        else:
-            want_int = int(want)
-        candidates = self.bootstrap.sample(rng, want_int, exclude=exclude)
+        candidates = self.bootstrap.sample(
+            rng, peer.neighbors.outgoing.free_slots, exclude=exclude
+        )
         for candidate in candidates:
             if not peer.has_free_slot:
                 break
@@ -185,31 +184,14 @@ class AsymmetricProtocol(GnutellaProtocol):
 class AsymmetricFastEngine(FastGnutellaEngine):
     """The fast engine over directed relations, plus service-load tracking."""
 
+    protocol_class = AsymmetricProtocol
+
     def __init__(self, config) -> None:
-        # The asymmetric population needs unbounded incoming lists, which
-        # the fixed-stride SoA slabs cannot express — build (and keep) the
-        # object layout.
-        super().__init__(config, soa=False)
-        # Rebuild peers with unbounded incoming lists and swap the protocol.
-        self.peers = [
-            _asymmetric_peer(NodeId(u), config.neighbor_slots)
-            for u in range(config.n_users)
-        ]
-        self.protocol = AsymmetricProtocol(
-            self.peers, self.bootstrap, self.metrics, config.neighbor_slots
-        )
-        # The replacement protocol needs the kernel clock lent again.
-        self.protocol.now = lambda: self.sim.now
-        if config.dynamic and config.evicted_refill_immediate:
-            self.protocol.on_eviction = self._on_eviction
-        # The view reads neighbor lists through self.peers; rebuild it, and
-        # re-bind the flood fast path to the new peers' live rows likewise.
-        self.view = type(self.view)(self.peers, self.live_libraries, self.latency)
-        self._rebind_fastpath()
+        super().__init__(config)
         #: Results served per node (the load-imbalance measurement).
         self.served = np.zeros(config.n_users, dtype=np.int64)
 
-    def _record_benefit(self, peer: PeerState, outcome) -> None:
+    def _record_benefit(self, peer: SoAPeer, outcome) -> None:
         # Service-load tracking rides the benefit hook, so it covers the
         # dynamic scheme — which is where the imbalance claim lives (the
         # static scheme never reconfigures toward suppliers at all).
@@ -225,12 +207,3 @@ class AsymmetricFastEngine(FastGnutellaEngine):
         """Largest incoming list — how many consumers the most popular
         supplier carries."""
         return max(len(p.neighbors.incoming) for p in self.peers)
-
-
-def _asymmetric_peer(node: NodeId, slots: int) -> PeerState:
-    peer = PeerState(node, slots)
-    # Replace the incoming list with an unbounded one (pure asymmetric).
-    from repro.core.neighbors import NeighborState
-
-    peer.neighbors = NeighborState(node, out_capacity=slots, in_capacity=math.inf)
-    return peer

@@ -23,16 +23,15 @@ live libraries differ; arrival times never do.)
 from __future__ import annotations
 
 from repro.core.exploration import generic_explore
-from repro.core.fastpath import AdjacencySnapshot, FloodFastPath, HolderIndex
+from repro.core.fastpath import FloodFastPath, HolderIndex
 from repro.core.search import generic_search, iterative_deepening_search
-from repro.core.soa import PeerArrays
+from repro.core.soa import PeerArrays, SoAPeer
 from repro.core.selection import SelectRandomK, SelectTopKBenefit
 from repro.core.termination import TTLTermination
 from repro.errors import ConfigurationError
 from repro.gnutella.bootstrap import BootstrapServer
 from repro.gnutella.config import GnutellaConfig
 from repro.gnutella.metrics import SimulationMetrics
-from repro.gnutella.node import PeerState
 from repro.gnutella.protocol import GnutellaProtocol
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
@@ -105,16 +104,15 @@ class FastGnutellaEngine:
         latency model refuses to materialize the O(n^2) matrix and
         ``delay_rows()`` transparently returns a lazy per-pair view — the
         flag is then effectively ignored.
-    soa:
-        Keep the per-node hot state (online flags, counters, neighbor rows)
-        in the flat struct-of-arrays slabs of :mod:`repro.core.soa` instead
-        of one :class:`~repro.gnutella.node.PeerState` object per peer.
-        This is a pure layout change — every lifecycle method runs the same
-        code over ``PeerState``-shaped views, so same-seed event-stream
-        digests are bit-identical either way (test-enforced by
-        ``tests/gnutella/test_soa_digest.py``). ``True`` by default; the
-        ``fast-aos`` engine name builds the object layout for A/B runs.
+
+    Per-node hot state (online flags, counters, neighbor rows) lives in the
+    flat struct-of-arrays slabs of :class:`~repro.core.soa.PeerArrays`;
+    ``peers`` is the list of per-peer views over them, built once.
     """
+
+    #: The link-management policy. Subclasses swap the relation here (the
+    #: asymmetric engine); its ``in_capacity`` sizes the incoming rows.
+    protocol_class: type[GnutellaProtocol] = GnutellaProtocol
 
     def __init__(
         self,
@@ -122,7 +120,6 @@ class FastGnutellaEngine:
         *,
         use_fastpath: bool = True,
         eager_delay_matrix: bool = True,
-        soa: bool = True,
     ) -> None:
         self.config = config
         #: Observability (repro.obs): a no-op tracer by default; swap in a
@@ -164,22 +161,15 @@ class FastGnutellaEngine:
 
         self.sim = Simulator()
         self.metrics = SimulationMetrics(config.horizon)
-        if soa:
-            # Struct-of-arrays peer state: the slabs hold the data, the
-            # SoAPeer views give the protocol the PeerState interface. The
-            # views are built once here, never per event.
-            self.arrays: PeerArrays | None = PeerArrays(
-                config.n_users, config.neighbor_slots
-            )
-            self.peers = self.arrays.peers()
-        else:
-            self.arrays = None
-            self.peers = [
-                PeerState(NodeId(u), config.neighbor_slots)
-                for u in range(config.n_users)
-            ]
+        protocol_class = self.protocol_class
+        # The slabs hold the data; the SoAPeer views over them are built
+        # once here, never per event.
+        self.arrays = PeerArrays(
+            config.n_users, config.neighbor_slots, protocol_class.in_capacity
+        )
+        self.peers = self.arrays.peers()
         self.bootstrap = BootstrapServer()
-        self.protocol = GnutellaProtocol(
+        self.protocol = protocol_class(
             self.peers, self.bootstrap, self.metrics, config.neighbor_slots
         )
         # Lend the protocol the kernel clock unconditionally (not only when a
@@ -202,9 +192,6 @@ class FastGnutellaEngine:
         self._delay_rows = None
         if eager_delay_matrix:
             self._delay_rows = self.latency.delay_rows()
-        # Compact inverted holder index, built lazily on the first fast-path
-        # bind and shared across rebinds (downloads keep mutating one index).
-        self._holder_index: HolderIndex | None = None
 
         self._bootstrap_rng = streams.get("bootstrap")
         # Timing and item choice draw from separate streams so that query
@@ -227,60 +214,24 @@ class FastGnutellaEngine:
         # flooding with holders replying and not propagating, under a plain
         # hop limit. Every other strategy keeps the generic reference path.
         self._fastpath: FloodFastPath | None = None
-        self._use_fastpath = use_fastpath and kind == "flood"
-        if self._use_fastpath:
-            self._rebind_fastpath()
+        if use_fastpath and kind == "flood":
+            if self._delay_rows is None:
+                # The fast path needs the precomputed rows; force the build.
+                self._delay_rows = self.latency.delay_rows()
+            # The kernel walks the live outgoing id slab (no per-node row
+            # objects) and the compact CSR-backed holder index.
+            self._fastpath = FloodFastPath(
+                self.arrays.out,
+                HolderIndex(self.live_libraries),
+                self._delay_rows,
+                self.termination.max_hops,
+            )
         self._ran = False
         if config.dynamic and config.evicted_refill_immediate:
             # Evicted peers promptly fall back to the bootstrap server for a
             # random replacement (scheduled, not synchronous: the eviction
             # fires mid-reconfiguration).
             self.protocol.on_eviction = self._on_eviction
-
-    def _rebind_fastpath(self) -> None:
-        """(Re)build the flood fast path over the *current* ``self.peers``.
-
-        The fast path holds the identity-stable backing lists of each peer's
-        outgoing :class:`~repro.core.neighbors.NeighborList`, so any subclass
-        that replaces ``self.peers`` (or their neighbor state) after the base
-        constructor ran must call this again — exactly like it must rebuild
-        ``self.view``. No-op when the fast path is disabled or the strategy
-        is not a plain flood.
-        """
-        if not self._use_fastpath:
-            return
-        previous = self._fastpath
-        if self._delay_rows is None:
-            # The fast path needs the precomputed rows; force the build.
-            self._delay_rows = self.latency.delay_rows()
-        arrays = getattr(self.peers, "arrays", None)
-        if arrays is not None:
-            # Struct-of-arrays population: hand the kernel the live id slab
-            # (no per-node row objects) and the compact CSR-backed holder
-            # index. The index survives rebinds — downloads recorded through
-            # add_holder must never be lost to a peer-population rebuild.
-            if self._holder_index is None:
-                self._holder_index = HolderIndex(self.live_libraries)
-            self._fastpath = FloodFastPath(
-                arrays.out,
-                self._holder_index,
-                self._delay_rows,
-                self.termination.max_hops,
-            )
-        else:
-            self._fastpath = FloodFastPath(
-                AdjacencySnapshot(p.neighbors.outgoing for p in self.peers),
-                self.live_libraries,
-                self._delay_rows,
-                self.termination.max_hops,
-            )
-        # Per-hop level collection rides the tracer: free when untraced.
-        self._fastpath.collect_levels = self.tracer.enabled
-        if previous is not None:
-            # Observability hooks survive a rebind: a recorder attached its
-            # profiler/counters to the instance being replaced.
-            self._fastpath.profile = previous.profile
-            self._fastpath.perf = previous.perf
 
     def attach_tracer(self, tracer) -> None:
         """Install a live :class:`~repro.obs.trace.Tracer` on this engine.
@@ -421,7 +372,7 @@ class FastGnutellaEngine:
         """Whether flood queries run on the specialized fast path."""
         return self._fastpath is not None
 
-    def _execute_search(self, node: NodeId, item, peer: PeerState):
+    def _execute_search(self, node: NodeId, item, peer: SoAPeer):
         """Run one query with the configured search strategy."""
         kind, k = self._strategy
         if kind == "flood":
@@ -452,7 +403,7 @@ class FastGnutellaEngine:
             issued_at=self.sim.now,
         )
 
-    def _record_benefit(self, peer: PeerState, outcome) -> None:
+    def _record_benefit(self, peer: SoAPeer, outcome) -> None:
         """Credit each result's responder per the configured benefit.
 
         The default is the paper's ``B / R`` (Section 4.1(i)).

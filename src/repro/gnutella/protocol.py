@@ -4,7 +4,8 @@ Both engines agree on *what* a reconfiguration does; this module implements
 the doing for engines that treat control traffic as instantaneous relative to
 churn (the fast engine; the detailed engine ships the same decisions as real
 messages). The decision logic itself lives in :mod:`repro.core.update` — this
-is glue between those pure functions and live :class:`PeerState` objects.
+is glue between those pure functions and the live peer population
+(:class:`~repro.core.soa.PeerArrays`, read through its per-peer views).
 
 Link maintenance policy: Gnutella peers keep their neighbor count topped up
 (a peer that lost a neighbor looks for a replacement via the bootstrap /
@@ -15,19 +16,17 @@ table a dynamic reconfiguration degenerates to exactly the static behaviour,
 which is why Figure 3(b)'s T=1 point sits near the static line.
 
 Every link mutation here (:meth:`GnutellaProtocol.link`,
-:meth:`~GnutellaProtocol.unlink`, :meth:`~GnutellaProtocol.sever_all`) goes
-through :class:`~repro.core.neighbors.NeighborList`, whose backing lists are
-identity-stable — so the protocol is also what incrementally maintains the
-flood fast path's live :class:`~repro.core.fastpath.AdjacencySnapshot` on
-link add, sever, and logoff.
+:meth:`~GnutellaProtocol.unlink`, :meth:`~GnutellaProtocol.sever_all`) lands
+in the population's :class:`~repro.core.soa.NeighborTable` slabs in place —
+so the protocol is also what keeps the flood fast path's view of the overlay
+current on link add, sever, and logoff.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
+from repro.core.soa import SoAPeerList
 from repro.core.update import (
     EvictAction,
     InviteAction,
@@ -38,7 +37,6 @@ from repro.core.update import (
 from repro.errors import FrameworkError
 from repro.gnutella.bootstrap import BootstrapServer
 from repro.gnutella.metrics import SimulationMetrics
-from repro.gnutella.node import PeerState
 from repro.obs.trace import NULL_TRACER, PID_PROTOCOL
 from repro.types import NodeId
 
@@ -51,7 +49,8 @@ class GnutellaProtocol:
     Parameters
     ----------
     peers:
-        Dense list of all peer states, indexed by node id.
+        The population's per-peer views, indexed by node id
+        (:meth:`repro.core.soa.PeerArrays.peers`).
     bootstrap:
         The host-cache server (random candidate source).
     metrics:
@@ -62,9 +61,14 @@ class GnutellaProtocol:
         Algo 5 (iv) invitation policy.
     """
 
+    #: Incoming capacity the relation needs, for
+    #: :class:`~repro.core.soa.PeerArrays`: symmetric links mirror the
+    #: outgoing rows, so ``None`` (the ``slots`` stride).
+    in_capacity: float | None = None
+
     def __init__(
         self,
-        peers: Sequence[PeerState],
+        peers: SoAPeerList,
         bootstrap: BootstrapServer,
         metrics: SimulationMetrics,
         slots: int,
@@ -91,34 +95,21 @@ class GnutellaProtocol:
         #: tests) run at a frozen t=0. Used for trace timestamps and the
         #: per-hour reconfiguration series.
         self.now = lambda: 0.0
-        # Hot-path predicates, bound once. Over a struct-of-arrays population
-        # (repro.core.soa — signalled by the `.arrays` attribute) these read
-        # the online bitmap and degree column directly: the `eligible` check
-        # inside plan_reconfiguration and the candidate filter in
-        # fill_random are the protocol's innermost loops, and a bytearray
-        # index beats a view-object property chase. Both predicates return
-        # exactly what the PeerState properties return, so decisions — and
-        # event-stream digests — are identical either way.
-        arrays = getattr(peers, "arrays", None)
-        if arrays is not None:
-            online = arrays.online
-            deg = arrays.out.deg
-            cap = arrays.out.slots
+        # Hot-path predicates, bound once, reading the online bitmap and
+        # degree column directly: the `eligible` check inside
+        # plan_reconfiguration and the candidate filter in fill_random are
+        # the protocol's innermost loops, and a bytearray index beats a
+        # view-object property chase.
+        arrays = peers.arrays
+        online = arrays.online
+        deg = arrays.out.deg
+        cap = arrays.out.slots
 
-            def _is_online(n: NodeId) -> bool:
-                return online[n] != 0
+        def _is_online(n: NodeId) -> bool:
+            return online[n] != 0
 
-            def _is_linkable(n: NodeId) -> bool:
-                return online[n] != 0 and deg[n] < cap
-
-        else:
-
-            def _is_online(n: NodeId) -> bool:
-                return self.peers[n].online
-
-            def _is_linkable(n: NodeId) -> bool:
-                p = self.peers[n]
-                return p.online and p.has_free_slot
+        def _is_linkable(n: NodeId) -> bool:
+            return online[n] != 0 and deg[n] < cap
 
         self._is_online = _is_online
         self._is_linkable = _is_linkable

@@ -69,11 +69,6 @@ def build_engine(
     digest-equality gate: a ``fast`` and a ``fast-reference`` run of the same
     config must produce bit-identical event-stream digests.
 
-    ``"fast-aos"`` is the fast engine over the object-per-peer (array-of-
-    structs) state layout — the pre-SoA engine core, kept for A/B benching
-    and the layout digest gate: a ``fast`` and a ``fast-aos`` run of the
-    same config must also produce bit-identical digests.
-
     ``trace`` optionally attaches a live :class:`repro.obs.trace.Tracer` (via
     :meth:`~repro.gnutella.fast.FastGnutellaEngine.attach_tracer`) before the
     engine runs. Tracing only observes — it draws no RNG and schedules
@@ -83,14 +78,11 @@ def build_engine(
         eng = FastGnutellaEngine(config)
     elif engine == "fast-reference":
         eng = FastGnutellaEngine(config, use_fastpath=False)
-    elif engine == "fast-aos":
-        eng = FastGnutellaEngine(config, soa=False)
     elif engine == "detailed":
         eng = DetailedGnutellaEngine(config)
     else:
         raise ConfigurationError(
-            f"unknown engine {engine!r}; use 'fast', 'fast-reference', "
-            f"'fast-aos' or 'detailed'"
+            f"unknown engine {engine!r}; use 'fast', 'fast-reference' or 'detailed'"
         )
     if trace is not None:
         eng.attach_tracer(trace)

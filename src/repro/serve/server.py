@@ -36,7 +36,8 @@ Design constraints, in order:
 * **Disconnects cancel.** Requests from a connection that has gone away
   are dropped at dequeue time (counted, never executed).
 * **Shutdown drains.** :meth:`shutdown` stops admitting, lets queued
-  requests finish (bounded by ``drain_timeout_s``), then closes.
+  requests finish and their replies flush (bounded by ``drain_timeout_s``),
+  then closes.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ class ServeConfig:
     warmup_sim_s: float = 2 * 3600.0
     #: Wall seconds between background world-advancement ticks.
     pacer_interval_s: float = 0.05
-    #: Wall seconds :meth:`QueryServer.shutdown` waits for queued requests.
+    #: Wall seconds :meth:`QueryServer.shutdown` waits for queued requests
+    #: and for the replies already written to reach their clients.
     drain_timeout_s: float = 5.0
     #: Rolling telemetry horizons in wall seconds (10s/1m/5m by default).
     rolling_windows: tuple[float, ...] = DEFAULT_WINDOWS
@@ -326,13 +328,21 @@ class QueryServer:
         return str(host), int(port)
 
     async def shutdown(self) -> None:
-        """Graceful drain: stop admitting, finish queued work, close."""
+        """Graceful drain: stop admitting, finish queued work, close.
+
+        ``drain_timeout_s`` bounds the whole drain: the queued work, then the
+        flush of replies already written. A connection still holding unsent
+        bytes after that is aborted. The listener is awaited last: from
+        Python 3.12.1 ``Server.wait_closed`` waits for every accepted
+        connection, so it returns only once all of them are closed.
+        """
         state = self._state
         if state is None:
             return
         self._draining = True
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.serve.drain_timeout_s
         state.server.close()
-        await state.server.wait_closed()
         if state.pacer_task is not None:
             state.pacer_task.cancel()
             try:
@@ -340,7 +350,7 @@ class QueryServer:
             except asyncio.CancelledError:
                 pass
         try:
-            await asyncio.wait_for(state.queue.join(), timeout=self.serve.drain_timeout_s)
+            await asyncio.wait_for(state.queue.join(), timeout=deadline - loop.time())
         except asyncio.TimeoutError:
             pass
         state.worker.cancel()
@@ -350,6 +360,11 @@ class QueryServer:
             pass
         for conn in list(state.connections):
             conn._close()
+        while state.connections and loop.time() < deadline:
+            await asyncio.sleep(0.01)
+        for conn in list(state.connections):
+            conn.transport.abort()
+        await state.server.wait_closed()
         # The worker only refreshes the gauge on dequeue; after a drain (or a
         # drain timeout that leaves requests queued) report the true depth.
         self._queue_depth.set(state.queue.qsize())

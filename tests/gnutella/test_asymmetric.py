@@ -1,9 +1,11 @@
 """Tests for the asymmetric-relations counterfactual (Section 4.1's claim)."""
 
+import math
 
 import numpy as np
 import pytest
 
+from repro.core.soa import PeerArrays
 from repro.gnutella import GnutellaConfig
 from repro.gnutella.asymmetric import (
     AsymmetricFastEngine,
@@ -12,7 +14,6 @@ from repro.gnutella.asymmetric import (
 )
 from repro.gnutella.bootstrap import BootstrapServer
 from repro.gnutella.metrics import SimulationMetrics
-from repro.gnutella.node import PeerState
 from repro.types import HOUR
 
 
@@ -52,16 +53,9 @@ class TestServiceGini:
 
 
 def make_world(n=10, slots=3):
-    import math as _math
-
-    from repro.core.neighbors import NeighborState
-
-    peers = []
-    for i in range(n):
-        p = PeerState(i, slots)
-        p.neighbors = NeighborState(i, slots, _math.inf)
+    peers = PeerArrays(n, slots, math.inf).peers()
+    for p in peers:
         p.online = True
-        peers.append(p)
     bootstrap = BootstrapServer()
     for p in peers:
         bootstrap.join(p.node)

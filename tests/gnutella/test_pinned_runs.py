@@ -1,12 +1,17 @@
-"""Absolute event-stream digests of whole runs, taken at commit 2c28c2c.
+"""Absolute event-stream digests of whole runs.
+
+The small and the TTL-2 paper-scale pins were taken at commit 2c28c2c; the
+TTL-4 growing-library paper-scale pin and the asymmetric pins at 73054c3,
+while the object-per-peer state layout and the row-mode flood body still
+existed, so their removal is checked against values they produced.
 
 Every engine name shares ``GnutellaProtocol``, ``BootstrapServer``,
-``QueryModel`` and the kernel, so the engine-vs-engine matrices
-(``test_fastpath_digest.py``, ``test_soa_digest.py``) cannot see a change to
-any of them: both sides move together. These pins can. They cover the static
-scheme (``fill_random`` is its whole neighbour policy), the dynamic one, TTL 4
-and growing libraries at the digest-matrix scale on all three fast engine
-names, and the paper's population on ``fast``.
+``QueryModel`` and the kernel, so the engine-vs-engine matrix
+(``test_fastpath_digest.py``) cannot see a change to any of them: both sides
+move together. These pins can. They cover the static scheme (``fill_random``
+is its whole neighbour policy), the dynamic one, TTL 4 and growing libraries
+at the digest-matrix scale on both fast engine names, the paper's population
+on ``fast``, and the asymmetric engine.
 
 The values change only inside the re-baseline window of ROADMAP item 3 (a
 sampler or a draw with a new stream), by its written procedure, never as a
@@ -15,7 +20,9 @@ side effect of a performance change.
 
 import pytest
 
-from repro.lint.sanitize import run_hashed
+from repro.gnutella.asymmetric import AsymmetricFastEngine
+from repro.lint.sanitize import attach_hasher, run_hashed
+from tests.gnutella.test_asymmetric import small_config as asymmetric_config
 from tests.gnutella.test_soa_digest import paper_scale_config, small_config
 
 #: overrides, digest, queries, hits, reconfigurations
@@ -59,6 +66,34 @@ PAPER_SCALE_PINS = [
         (3828, 459, 2111),
         id="figure2-dynamic-ttl2",
     ),
+    pytest.param(
+        {"dynamic": True, "downloads_grow_libraries": True, "max_hops": 4},
+        "6b639f519c0e420b832d4221d39a351ba8dd586781ae861574fbdd6ba45b5162",
+        (3828, 1529, 2011),
+        id="figure3-dynamic-ttl4-growing",
+    ),
+]
+
+#: ``AsymmetricFastEngine`` over ``test_asymmetric.small_config``
+ASYMMETRIC_PINS = [
+    pytest.param(
+        {"dynamic": False},
+        "c12c4cd48cfca0c9b707e784f77e5d1fc825082f3446775b837b3217a830311e",
+        (1197, 386, 0),
+        id="static",
+    ),
+    pytest.param(
+        {"dynamic": True},
+        "8506c1a8b3251472c2512ed3559ebb54a98dc077e6d442ba37da2a298292d50f",
+        (1197, 394, 761),
+        id="dynamic",
+    ),
+    pytest.param(
+        {"dynamic": True, "max_hops": 4, "downloads_grow_libraries": True, "seed": 3},
+        "c0c52a79e77be39cb07ab0fede84b028e6648afd3364ce78e135577f810bda50",
+        (1249, 515, 826),
+        id="dynamic-ttl4-growing-libraries",
+    ),
 ]
 
 
@@ -67,7 +102,7 @@ def counts(result):
     return (metrics.total_queries, metrics.total_hits, metrics.reconfigurations)
 
 
-@pytest.mark.parametrize("engine", ["fast", "fast-reference", "fast-aos"])
+@pytest.mark.parametrize("engine", ["fast", "fast-reference"])
 @pytest.mark.parametrize(("overrides", "digest", "expected"), SMALL_PINS)
 def test_small_runs_are_pinned(overrides, digest, expected, engine):
     result, got = run_hashed(small_config(**overrides), engine, sanitize=False)
@@ -77,8 +112,16 @@ def test_small_runs_are_pinned(overrides, digest, expected, engine):
 
 @pytest.mark.parametrize(("overrides", "digest", "expected"), PAPER_SCALE_PINS)
 def test_paper_population_runs_are_pinned(overrides, digest, expected):
-    """2,000 peers, half a simulated hour; the layouts are tied to ``fast``
-    by ``test_paper_scale_digest_identical_soa_vs_aos``."""
+    """2,000 peers, half a simulated hour."""
     result, got = run_hashed(paper_scale_config(**overrides), "fast", sanitize=False)
     assert counts(result) == expected
     assert got == digest
+
+
+@pytest.mark.parametrize(("overrides", "digest", "expected"), ASYMMETRIC_PINS)
+def test_asymmetric_runs_are_pinned(overrides, digest, expected):
+    engine = AsymmetricFastEngine(asymmetric_config(**overrides))
+    hasher = attach_hasher(engine.sim)
+    metrics = engine.run()
+    assert (metrics.total_queries, metrics.total_hits, metrics.reconfigurations) == expected
+    assert hasher.hexdigest() == digest

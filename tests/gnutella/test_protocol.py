@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.soa import PeerArrays
 from repro.errors import FrameworkError
 from repro.gnutella.bootstrap import BootstrapServer
 from repro.gnutella.metrics import SimulationMetrics
-from repro.gnutella.node import PeerState
 from repro.gnutella.protocol import GnutellaProtocol
 
 
 def make_world(n=10, slots=4, always_accept=True):
-    peers = [PeerState(i, slots) for i in range(n)]
+    peers = PeerArrays(n, slots).peers()
     bootstrap = BootstrapServer()
     for p in peers:
         p.online = True

@@ -12,7 +12,6 @@ from repro.core.soa import PeerArrays
 from repro.core.update import plan_reconfiguration, process_invitation, reconfiguration_actions
 from repro.gnutella.bootstrap import BootstrapServer
 from repro.gnutella.metrics import SimulationMetrics
-from repro.gnutella.node import PeerState
 from repro.gnutella.protocol import GnutellaProtocol
 from tests.gnutella.test_bootstrap import reference_sample
 
@@ -46,7 +45,7 @@ def test_random_operation_interleavings(seed, ops):
     """Operations: 0=toggle churn, 1=fill_random, 2=reconfigure, 3=credit a
     random peer with benefit (feeding future reconfigurations)."""
     rng = np.random.default_rng(seed)
-    peers = [PeerState(i, SLOTS) for i in range(N_PEERS)]
+    peers = PeerArrays(N_PEERS, SLOTS).peers()
     bootstrap = BootstrapServer()
     metrics = SimulationMetrics(horizon=3600.0)
     protocol = GnutellaProtocol(peers, bootstrap, metrics, SLOTS)
@@ -159,10 +158,8 @@ def reference_fill_random(protocol, node, rng):
 class World:
     """One population, its protocol, a clock the test turns, an eviction log."""
 
-    def __init__(self, soa, reference, always_accept=True):
-        peers = PeerArrays(N_PEERS, SLOTS).peers() if soa else [
-            PeerState(i, SLOTS) for i in range(N_PEERS)
-        ]
+    def __init__(self, reference, always_accept=True):
+        peers = PeerArrays(N_PEERS, SLOTS).peers()
         self.peers = peers
         self.bootstrap = BootstrapServer()
         self.metrics = SimulationMetrics(horizon=4 * 3600.0)
@@ -239,7 +236,6 @@ class World:
         min_size=5,
         max_size=120,
     ),
-    soa=st.booleans(),
     max_swaps=st.sampled_from([1, 2, None]),
     swap_margin=st.sampled_from([0.0, 0.5]),
     stats_decay=st.sampled_from([0.0, 0.5, 1.0]),
@@ -247,11 +243,11 @@ class World:
 )
 @settings(max_examples=150, deadline=None)
 def test_property_same_world_as_the_replaced_bodies(
-    seed, ops, soa, max_swaps, swap_margin, stats_decay, always_accept
+    seed, ops, max_swaps, swap_margin, stats_decay, always_accept
 ):
     """Same returns, links, counters, hourly series, ledgers, eviction
     notices and generator state after every operation; same rankings at the end."""
-    new, old = World(soa, False, always_accept), World(soa, True, always_accept)
+    new, old = World(False, always_accept), World(True, always_accept)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     reconfigure_args = (max_swaps, swap_margin, stats_decay)
     for op, node, other in ops:
@@ -265,12 +261,12 @@ def test_property_same_world_as_the_replaced_bodies(
 
 @pytest.mark.parametrize("stats_decay", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("max_swaps", [1, None])
-@pytest.mark.parametrize("soa", [False, True], ids=["objects", "soa"])
+@pytest.mark.parametrize("layout", ["soa"])  # a fixed id segment: stable test ids
 class TestNothingToExchange:
     """The two early ways out of ``reconfigure`` book what the full walk books."""
 
-    def worlds(self, soa):
-        worlds = World(soa, False), World(soa, True)
+    def worlds(self):
+        worlds = World(False), World(True)
         for world in worlds:
             for node in range(N_PEERS):
                 world.toggle(node)
@@ -280,8 +276,8 @@ class TestNothingToExchange:
             world.clock = 3600.0 + 7.0
         return worlds
 
-    def test_statless_peer(self, soa, max_swaps, stats_decay):
-        new, old = self.worlds(soa)
+    def test_statless_peer(self, layout, max_swaps, stats_decay):
+        new, old = self.worlds()
         for world in (new, old):
             assert world.reconfigure(0, max_swaps, 0.0, stats_decay) == 0
         assert new.state() == old.state()
@@ -290,8 +286,8 @@ class TestNothingToExchange:
         assert new.metrics.reconfigurations == 1
         assert new.metrics.reconfigs.counts.tolist() == [0, 1, 0, 0]
 
-    def test_confirmed_neighbourhood(self, soa, max_swaps, stats_decay):
-        new, old = self.worlds(soa)
+    def test_confirmed_neighbourhood(self, layout, max_swaps, stats_decay):
+        new, old = self.worlds()
         for world in (new, old):
             world.peers[0].stats.add_benefit(1, 4.0)
             world.peers[0].stats.add_benefit(2, 2.0)

@@ -1,13 +1,7 @@
-"""Engine-level equivalence of the struct-of-arrays core, bit for bit.
+"""Engine-level digest gates for the hot-path rewrites of the engine core.
 
-The SoA refactor (``repro.core.soa``) is a pure *layout* change: the same
-lifecycle methods run over slab-backed views instead of per-peer objects, so
-a ``soa=True`` engine must emit exactly the same SHA-256-hashed event stream
-as the object-per-peer engine (``fast-aos``) — at the small digest-matrix
-scale and at the paper's 2,000-peer scale, across the figure variants.
-
-The same property gates the two other hot-path rewrites this refactor
-carries:
+Two rewrites must leave the SHA-256-hashed event stream bit for bit as it
+was:
 
 * incremental ``plan_reconfiguration`` vs the retained full-scan oracle
   (swapped into the live protocol by monkeypatching), and
@@ -17,9 +11,10 @@ carries:
   equality holds because delay values never enter scheduled event
   arguments, which is precisely the documented digest-gated transition
   that lets 50k+ runs skip the O(n^2) matrix.
-"""
 
-import pytest
+The configs here are shared with the absolute pins of
+``test_pinned_runs.py``.
+"""
 
 import repro.gnutella.asymmetric
 import repro.gnutella.protocol
@@ -52,7 +47,7 @@ def paper_scale_config(**overrides):
 
     Full Section 4.2 parameters except the horizon (30 simulated minutes
     instead of 4 days): the digest covers thousands of events across login,
-    fill, query, and reconfiguration paths, which is what the layout gate
+    fill, query, and reconfiguration paths, which is what a digest pin
     needs — running to the real horizon adds hours of wall clock, not
     coverage.
     """
@@ -69,51 +64,6 @@ def paper_scale_config(**overrides):
     )
     defaults.update(overrides)
     return GnutellaConfig(**defaults)
-
-
-VARIANTS = [
-    pytest.param({"dynamic": False}, id="static-ttl2"),
-    pytest.param({"dynamic": True}, id="dynamic-ttl2"),
-    pytest.param({"dynamic": False, "max_hops": 4, "seed": 21}, id="static-ttl4"),
-    pytest.param(
-        {"dynamic": True, "downloads_grow_libraries": True, "seed": 3},
-        id="dynamic-growing-libraries",
-    ),
-]
-
-
-@pytest.mark.parametrize("overrides", VARIANTS)
-def test_digest_identical_soa_vs_aos(overrides):
-    config = small_config(**overrides)
-    soa_result, soa_digest = run_hashed(config, "fast", sanitize=False)
-    aos_result, aos_digest = run_hashed(config, "fast-aos", sanitize=False)
-    assert soa_digest == aos_digest
-    assert soa_result.metrics.total_queries == aos_result.metrics.total_queries
-    assert soa_result.metrics.total_hits == aos_result.metrics.total_hits
-    # ``GnutellaConfig.dynamic`` defaults to True: a case is static only if
-    # it says so, and then it never reconfigures.
-    assert (soa_result.metrics.reconfigurations > 0) == overrides["dynamic"]
-    assert soa_result.metrics.reconfigurations == aos_result.metrics.reconfigurations
-
-
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        pytest.param({"dynamic": False}, id="figure1-static-ttl2"),
-        pytest.param({"dynamic": True}, id="figure2-dynamic-ttl2"),
-        pytest.param(
-            {"dynamic": True, "downloads_grow_libraries": True, "max_hops": 4},
-            id="figure3-dynamic-ttl4-growing",
-        ),
-    ],
-)
-def test_paper_scale_digest_identical_soa_vs_aos(overrides):
-    """2,000 peers (the paper's population): SoA == object layout, bit for bit."""
-    config = paper_scale_config(**overrides)
-    soa_result, soa_digest = run_hashed(config, "fast", sanitize=False)
-    _, aos_digest = run_hashed(config, "fast-aos", sanitize=False)
-    assert soa_digest == aos_digest
-    assert (soa_result.metrics.reconfigurations > 0) == overrides["dynamic"]
 
 
 def test_digest_identical_incremental_vs_full_scan_plan(monkeypatch):
@@ -149,15 +99,9 @@ def test_digest_identical_lazy_vs_eager_delays(monkeypatch):
     monkeypatch.setattr(repro.net.latency, "LAZY_DELAY_NODE_THRESHOLD", 8)
     _, lazy_digest = run_hashed(config, "fast", sanitize=False)
     assert lazy_digest == eager_digest
-    # And under lazy delays the two engine layouts still agree with each other.
-    _, lazy_aos_digest = run_hashed(config, "fast-aos", sanitize=False)
-    assert lazy_aos_digest == eager_digest
 
 
 def test_soa_engine_exposes_arrays():
     soa = FastGnutellaEngine(small_config())
     assert soa.arrays is not None
     assert soa.peers.arrays is soa.arrays
-    aos = FastGnutellaEngine(small_config(), soa=False)
-    assert aos.arrays is None
-    assert not hasattr(aos.peers, "arrays")

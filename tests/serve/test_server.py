@@ -428,3 +428,58 @@ class TestWorldAdvancement:
                 await server.shutdown()
 
         asyncio.run(scenario())
+
+
+class TestShutdown:
+    def test_shutdown_returns_with_idle_and_stalled_clients_connected(self):
+        """From Python 3.12.1 ``Server.wait_closed`` also waits for every
+        accepted connection to close; shutdown must close them (and drop
+        replies a client will never read) before it waits."""
+        drain_timeout_s = 1.0
+
+        async def scenario():
+            server = QueryServer(
+                _config(), _serve_config(drain_timeout_s=drain_timeout_s)
+            )
+            host, port = await server.start()
+            listener = server._state.server
+
+            async def wait_closed():
+                # The Python >= 3.12.1 body, run against this listener.
+                if listener._waiters is None:
+                    return
+                waiter = asyncio.get_running_loop().create_future()
+                listener._waiters.append(waiter)
+                await waiter
+
+            listener.wait_closed = wait_closed
+            for sock in listener.sockets:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+            idle = await ServeClient.connect(host, port)
+            assert (await idle.ping())["type"] == "pong"
+            # A client that sends pings and never reads their replies.
+            _, writer = await asyncio.open_connection(host, port)
+            sock = writer.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+            burst = b"".join(encode_line({"op": "ping", "id": i}) for i in range(1000))
+            try:
+                for _ in range(200):
+                    writer.write(burst)
+                    try:
+                        await asyncio.wait_for(writer.drain(), timeout=0.5)
+                    except asyncio.TimeoutError:
+                        break
+                else:
+                    raise AssertionError("server kept reading a client that never reads")
+                loop = asyncio.get_running_loop()
+                began = loop.time()
+                await asyncio.wait_for(server.shutdown(), timeout=drain_timeout_s + 1.0)
+                assert loop.time() - began < drain_timeout_s + 1.0
+                assert listener._active_count == 0
+            finally:
+                writer.transport.abort()
+                await idle.close()
+
+        asyncio.run(scenario())
