@@ -5,7 +5,6 @@ Usage::
     repro-bench --smoke            # CI mode: smoke preset, digest gate fatal
     repro-bench --preset scaled    # bigger figure runs, same trajectory
     repro-bench --skip-figures     # kernels + digest gate only
-    repro-bench --smoke --profile  # + profile block (regression attribution)
     repro-bench compare OLD NEW    # regression gate between two snapshots
 
 The snapshot lands in the current directory (or ``--output-dir``) as
@@ -29,7 +28,6 @@ from typing import Any
 from repro.bench.host import host_provenance
 from repro.bench.kernels import run_kernels
 from repro.bench.macro import digest_gate, figure_smoke
-from repro.bench.profiling import profile_smoke
 
 __all__ = ["main"]
 
@@ -112,21 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="also run a profiled smoke simulation and add a float-only "
-        "'profile' block (hot frames + per-event-type cost) to the "
-        "snapshot — what 'repro-bench compare' uses for regression "
-        "attribution",
-    )
-    parser.add_argument(
-        "--profile-hz",
-        type=float,
-        default=97.0,
-        metavar="HZ",
-        help="stack-sampling rate for --profile (default: 97)",
-    )
-    parser.add_argument(
         "--output-dir",
         type=Path,
         default=Path("."),
@@ -194,12 +177,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         snapshot["scale"] = {name: r.as_dict() for name, r in reports.items()}
         scale_ok = all(r.digest_match is not False for r in reports.values())
-
-    if args.profile:
-        _log(f"profiled smoke run at preset {preset!r} ({args.profile_hz:g} hz) ...")
-        snapshot["profile"] = profile_smoke(
-            preset=preset, seed=args.seed, hz=args.profile_hz, log=_log
-        )
 
     gate = digest_gate(preset=preset, seed=args.seed, log=_log)
     snapshot["digest_gate"] = gate.as_dict()

@@ -89,11 +89,6 @@ class ComparisonReport:
     #: Set when the snapshots carry host provenance and it differs —
     #: timings are judged anyway, but the verdicts deserve suspicion.
     host_warning: str | None = None
-    #: Regression attribution: the frames whose self-time moved most
-    #: between the snapshots' ``profile`` blocks, present only when a
-    #: timing regressed and both snapshots were profiled
-    #: (:func:`repro.obs.perf.recorder.diff_profiles` rows).
-    attribution: tuple[Mapping[str, Any], ...] = ()
 
     @property
     def regressions(self) -> tuple[MetricDelta, ...]:
@@ -116,7 +111,6 @@ class ComparisonReport:
             "deltas": [d.as_dict() for d in self.deltas],
             "skipped": list(self.skipped),
             "host_warning": self.host_warning,
-            "attribution": [dict(m) for m in self.attribution],
         }
 
 
@@ -216,13 +210,8 @@ def compare_snapshots(
     a higher-is-better one when ``new < old * (1 - threshold)``. Kernels
     missing from either snapshot, metrics with a near-zero baseline, and
     kernels whose workload parameters differ are skipped (with a note), not
-    judged.
-
-    When anything *did* regress and both snapshots carry a ``profile``
-    block (``repro-bench --profile``), the report also names the frames
-    whose self-time moved most between the two profiles — the regression's
-    attribution. An old snapshot without the block yields an "is new" note
-    instead, mirroring how new serving/scale sections are introduced.
+    judged. Blocks other than ``kernels``, ``serving`` and ``scale`` (an
+    old snapshot's ``profile`` block, say) are ignored.
     """
     if not 0 <= threshold:
         raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
@@ -263,18 +252,6 @@ def compare_snapshots(
         deltas=deltas,
         skipped=skipped,
     )
-    # Regression attribution from the profile blocks (repro-bench
-    # --profile). The block itself is never judged — profile numbers are
-    # sampling-noisy — it is *evidence* read out when a judged timing moved.
-    old_profile = old.get("profile") or {}
-    new_profile = new.get("profile") or {}
-    attribution: tuple[Mapping[str, Any], ...] = ()
-    if new_profile and not old_profile:
-        skipped.append("profile block is new (no baseline)")
-    elif old_profile and new_profile and any(d.regressed for d in deltas):
-        from repro.obs.perf.recorder import diff_profiles
-
-        attribution = tuple(diff_profiles(old_profile, new_profile))
     return ComparisonReport(
         old_rev=str(old.get("rev", "unknown")),
         new_rev=str(new.get("rev", "unknown")),
@@ -282,7 +259,6 @@ def compare_snapshots(
         deltas=tuple(deltas),
         skipped=tuple(skipped),
         host_warning=_host_warning(old, new),
-        attribution=attribution,
     )
 
 
@@ -333,15 +309,6 @@ def main(argv: list[str] | None = None) -> int:
             f"repro-bench compare: REGRESSION {delta.kernel}.{delta.metric}: "
             f"{delta.old:.4g} -> {delta.new:.4g} "
             f"({delta.ratio:.2f}x, allowed {limit:.2f}x)",
-            file=sys.stderr,
-        )
-    for mover in report.attribution:
-        sign = "+" if float(mover["delta"]) >= 0 else ""
-        print(
-            "repro-bench compare: ATTRIBUTION "
-            f"{mover['frame']}: {mover['metric']} "
-            f"{float(mover['old']):.4g} -> {float(mover['new']):.4g} "
-            f"({sign}{float(mover['delta']):.4g})",
             file=sys.stderr,
         )
     return 0 if report.ok else 1

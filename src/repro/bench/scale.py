@@ -55,9 +55,6 @@ DEFAULT_SCALE_TIERS = (10_000, 50_000)
 #: Tiers at or below this size also run the fast-vs-reference digest gate.
 DEFAULT_DIGEST_MAX_USERS = 10_000
 
-#: Event classes shown per tier in the log and kept in the snapshot.
-EVENT_TYPE_ROWS = 8
-
 
 def _peak_rss_mb() -> float:
     """Process-lifetime peak resident set size in MiB (Linux: ru_maxrss KiB)."""
@@ -111,11 +108,6 @@ class ScaleTierReport:
     #: dict when the gate was skipped at this tier.
     digest_match: bool | None = None
     fast_digest: str | None = None
-    #: Per-event-type cost table (``{label: {events, seconds,
-    #: events_per_sec}}``) from the opt-in kernel ``.perf`` hook — where
-    #: the events/s ceiling actually sits. Nested, so the comparator treats
-    #: it as neither parameter nor judged metric.
-    event_types: dict[str, dict[str, float | int]] | None = None
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready rendering for the snapshot's ``scale`` block."""
@@ -135,8 +127,6 @@ class ScaleTierReport:
         if self.digest_match is not None:
             out["digest_match"] = self.digest_match
             out["fast_digest"] = self.fast_digest
-        if self.event_types is not None:
-            out["event_types"] = self.event_types
         return out
 
 
@@ -152,25 +142,14 @@ def run_scale_tier(
 
     The timed run is unhashed (hashing costs a ``stable_repr`` per event and
     would pollute the throughput numbers); the digest gate re-runs the same
-    config hashed on ``fast`` and ``fast-reference``.
-
-    The timed run carries :class:`~repro.obs.perf.perf_counters.
-    EventTypeCounters` on the kernel's ``.perf`` hook, so each tier reports
-    where its events/s ceiling sits per event class. The accounting is one
-    ``perf_counter()`` pair per event — two orders of magnitude below the
-    per-event kernel cost it measures — and purely observational, so tier
-    timings stay representative and the digest gate is untouched.
+    config hashed on ``fast`` and ``fast-reference``. Nothing is attached
+    to the engine, so the timed loop is the one every simulation runs.
     """
     from repro.gnutella.simulation import build_engine
-    from repro.obs.perf.perf_counters import EventTypeCounters
 
     config = scale_config(n_users, seed)
-    counters = EventTypeCounters()
     t0 = time.perf_counter()
     eng = build_engine(config, engine)
-    eng.sim.perf = counters
-    if getattr(eng, "_fastpath", None) is not None:
-        eng._fastpath.perf = counters
     t1 = time.perf_counter()
     metrics = eng.run()
     t2 = time.perf_counter()
@@ -185,11 +164,6 @@ def run_scale_tier(
             f"{events} events ({events_per_sec:.0f}/s), "
             f"peak RSS {peak_rss:.0f} MiB"
         )
-        for label, n, seconds, per_sec in counters.rows(EVENT_TYPE_ROWS):
-            log(
-                f"scale {n_users}:   {label}: {n} events, {seconds:.2f}s"
-                f" ({per_sec:.0f}/s)"
-            )
 
     digest_match: bool | None = None
     fast_digest: str | None = None
@@ -203,10 +177,6 @@ def run_scale_tier(
             verdict = "match" if digest_match else "MISMATCH"
             log(f"scale {n_users}: digest gate {verdict} ({fast_digest[:16]}...)")
 
-    event_types = {
-        label: {"events": n, "seconds": seconds, "events_per_sec": per_sec}
-        for label, n, seconds, per_sec in counters.rows(EVENT_TYPE_ROWS)
-    }
     return ScaleTierReport(
         n_users=config.n_users,
         n_items=config.n_items,
@@ -221,7 +191,6 @@ def run_scale_tier(
         peak_rss_mb=peak_rss,
         digest_match=digest_match,
         fast_digest=fast_digest,
-        event_types=event_types,
     )
 
 

@@ -52,7 +52,6 @@ over whole simulations.
 from __future__ import annotations
 
 from bisect import bisect_right
-from time import perf_counter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -189,8 +188,6 @@ class FloodFastPath:
         "queries_run",
         "collect_levels",
         "last_level_ends",
-        "profile",
-        "perf",
     )
 
     def __init__(
@@ -235,22 +232,13 @@ class FloodFastPath:
         self._span_end: list[int] = []
         #: Number of queries executed (introspection / bench bookkeeping).
         self.queries_run = 0
-        #: Observability hooks (repro.obs), both off by default. With
+        #: Observability hook (repro.obs), off by default. With
         #: ``collect_levels`` on, :meth:`search` records the cumulative
         #: contacted-count at each hop level into ``last_level_ends`` (one
         #: list append per *level*, not per node — the tracer's per-hop
-        #: events read it). ``profile`` is an optional
-        #: :class:`repro.obs.profile.PhaseTimers` accumulating this kernel's
-        #: wall time under ``"fastpath.search"`` (one branch per query when
-        #: unset). ``perf`` is an optional :class:`repro.obs.perf.
-        #: perf_counters.EventTypeCounters` charging the same wall time to
-        #: a ``"fastpath.search"`` sub-account, so per-event-type tables can
-        #: split an event's total from its kernel-only share. None of the
-        #: hooks touches outcomes, RNG, or event order.
+        #: events read it). It touches no outcome, RNG, or event order.
         self.collect_levels = False
         self.last_level_ends: list[int] | None = None
-        self.profile = None
-        self.perf = None
 
     def add_holder(self, node: NodeId, item: ItemId) -> None:
         """Mirror ``holdings[node].add(item)`` into the inverted index.
@@ -298,10 +286,6 @@ class FloodFastPath:
         ``u``'s row is read as a slice of the live id slab,
         ``ids[u*stride : u*stride+deg[u]]``.
         """
-        # Wall-clock on purpose: the profiler measures real elapsed time and
-        # never feeds back into query outcomes.
-        timed = self.profile is not None or self.perf is not None
-        t0 = perf_counter() if timed else 0.0  # repro-lint: disable=R002
         limit = self.max_hops if max_hops is None else max_hops
         self.queries_run += 1
         self._epoch += 1
@@ -451,12 +435,6 @@ class FloodFastPath:
 
         if level_ends is not None:
             self.last_level_ends = level_ends
-        if timed:
-            elapsed = perf_counter() - t0  # repro-lint: disable=R002
-            if self.profile is not None:
-                self.profile.add("fastpath.search", elapsed)
-            if self.perf is not None:
-                self.perf.record_named("fastpath.search", elapsed)
         return QueryOutcome(
             initiator, item, issued_at, tuple(results), messages, len(trace_node)
         )

@@ -189,20 +189,17 @@ def simulate_profiled(
     """:func:`simulate_task` plus wall-clock phase timings.
 
     Same worker-safe contract (module-level, picklable arguments, no shared
-    state); additionally threads a :class:`repro.obs.profile.PhaseTimers`
-    through engine setup, the kernel run loop, the flood fast path, and
-    teardown, returning its ``as_dict()`` as the third element. Profiling is
-    purely observational, so the digest matches :func:`simulate_task`'s for
-    the same config.
+    state); additionally times engine setup, run, and teardown with a
+    :class:`repro.obs.profile.PhaseTimers` taken around the engine, returning
+    its ``as_dict()`` as the third element. Nothing is attached to the
+    engine, so the digest matches :func:`simulate_task`'s for the same
+    config.
     """
     from repro.obs.profile import PhaseTimers
 
     timers = PhaseTimers()
     with timers.phase("engine.setup"):
         eng = build_engine(config, engine)
-    eng.sim.profile = timers
-    if eng._fastpath is not None:
-        eng._fastpath.profile = timers
     hasher = None
     if hash_events:
         from repro.lint.sanitize import attach_hasher

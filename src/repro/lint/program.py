@@ -51,12 +51,7 @@ ENGINE_ATTRS = frozenset(
 #: still classifies as engine state.)
 TELEMETRY_SINK_NAMES = frozenset(
     {"registry", "tracer", "rolling", "access_log", "accesslog",
-     "logger", "exporter", "sidecar", "snapshotter",
-     # Profiling-plane sinks (repro.obs.perf): the sampler, per-event-type
-     # counters, and allocation snapshots an observer writes host
-     # measurements into. Same contract as the telemetry sinks above — a
-     # chain from one of these back into ENGINE_ATTRS still flags.
-     "stack_sampler", "perf_counters", "alloc_snapshots"}
+     "logger", "exporter", "sidecar", "snapshotter"}
 )
 
 #: Method tails that mutate an engine-state receiver when called on it.

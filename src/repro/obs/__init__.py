@@ -1,4 +1,4 @@
-"""Observability: query-level tracing, metrics registry, profiling hooks.
+"""Observability: query-level tracing, metrics registry, phase timers.
 
 The paper's claims are about *dynamics* — "as the time evolves, new
 beneficial neighbors are being discovered" (Section 4.3) — but end-state
@@ -15,8 +15,8 @@ reconfiguration wave propagated. This package is the observation layer:
 * :mod:`repro.obs.registry` — a metrics registry unifying the scattered
   :mod:`repro.sim.monitor` instruments behind named counters / gauges /
   histograms with labeled dimensions and a ``snapshot()`` export;
-* :mod:`repro.obs.profile` — wall-clock phase timers (engine setup / run /
-  teardown, the flood fast-path kernel, orchestrator tasks) surfaced in run
+* :mod:`repro.obs.profile` — wall-clock phase timers taken around the
+  engine (setup / run / teardown, orchestrator tasks) surfaced in run
   manifests and bench snapshots;
 * :mod:`repro.obs.topology` — periodic overlay snapshots (degree
   distributions, in-degree concentration, neighbor churn, consistency

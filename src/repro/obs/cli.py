@@ -6,8 +6,6 @@ Usage::
         --chrome trace.json            # run traced, export both formats
     repro-trace record --preset smoke --record-dir runs/smoke \
         --topology-interval 3600       # full record directory for repro-report
-    repro-trace record --preset smoke --record-dir runs/smoke \
-        --perf --perf-hz 97            # + perf.collapsed/perf.json profiling
     repro-trace summarize trace.jsonl  # headline counts as JSON
     repro-trace convert trace.jsonl --out trace.json   # JSONL -> Chrome
 
@@ -61,7 +59,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
     config = preset_config(args.preset, seed=args.seed)
     config = config.as_static() if args.scheme == "static" else config.as_dynamic()
-    perf_mode = args.perf_mode if args.perf else None
     if args.record_dir is not None:
         summary = record_run_dir(
             config,
@@ -72,8 +69,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
             telemetry_port=args.telemetry_port,
             access_log=args.access_log,
             access_log_sample=args.access_log_sample,
-            perf=perf_mode,
-            perf_hz=args.perf_hz,
         )
         summary["record_dir"] = str(args.record_dir)
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -86,8 +81,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
         telemetry_port=args.telemetry_port,
         access_log=args.access_log,
         access_log_sample=args.access_log_sample,
-        perf=perf_mode,
-        perf_hz=args.perf_hz,
     )
     out = recorded.tracer.write_jsonl(args.out)
     report: dict[str, Any] = recorded.summary()
@@ -259,28 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=1.0,
         help="deterministic hash-based access-log sampling rate (default 1.0)",
-    )
-    record.add_argument(
-        "--perf",
-        action="store_true",
-        help="attach the host-side profiling plane (stack sampler + "
-        "per-event-type cost accounting + allocation snapshots); with "
-        "--record-dir, writes perf.collapsed and perf.json into it",
-    )
-    record.add_argument(
-        "--perf-hz",
-        type=float,
-        default=97.0,
-        metavar="HZ",
-        help="stack-sampling rate for --perf (default: 97, a prime — "
-        "cannot phase-lock with periodic work)",
-    )
-    record.add_argument(
-        "--perf-mode",
-        default="sampler",
-        choices=("sampler", "counting"),
-        help="profiler flavour for --perf: wall-clock stack sampling, or "
-        "the deterministic sys.setprofile call counter (default: sampler)",
     )
     record.set_defaults(func=_cmd_record)
 

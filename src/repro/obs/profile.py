@@ -2,13 +2,12 @@
 
 Simulated time is the paper's subject; *wall* time is the reproduction's
 cost. :class:`PhaseTimers` accumulates named wall-clock phases — engine
-setup / run / teardown, the flood fast-path kernel, each orchestrator task —
-cheaply enough to leave attached, and renders them as a JSON-ready dict for
-run manifests and ``BENCH_*.json`` snapshots.
+setup / run / teardown, each orchestrator task — and renders them as a
+JSON-ready dict for run manifests and ``BENCH_*.json`` snapshots.
 
-Timers measure the *host*, never the simulation: attaching one changes no
-simulated event, draws no RNG, and therefore cannot move an event-stream
-digest (the traced-vs-untraced equality tests cover this).
+Phases are taken *around* the engine, never inside it: nothing is attached
+to the kernel or the flood search, so timing changes no simulated event,
+draws no RNG, and cannot move an event-stream digest.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ class PhaseTimers:
     >>> timers = PhaseTimers()
     >>> with timers.phase("engine.setup"):
     ...     pass
-    >>> timers.add("kernel.run", 0.25)
+    >>> timers.add("engine.run", 0.25)
     >>> sorted(timers.as_dict())
-    ['engine.setup', 'kernel.run']
+    ['engine.run', 'engine.setup']
     """
 
     __slots__ = ("_seconds", "_counts")

@@ -53,9 +53,6 @@ class RecordedRun:
     telemetry_port: int | None = None
     #: Access-log lines written when access logging was enabled.
     access_log_lines: int | None = None
-    #: The profiling plane (:class:`~repro.obs.perf.recorder.PerfRecorder`)
-    #: when the run was recorded with ``perf`` set.
-    perf: Any | None = None
 
     def summary(self) -> dict[str, Any]:
         """Headline numbers for reporting: trace, phases, run outcome."""
@@ -78,14 +75,6 @@ class RecordedRun:
             out["telemetry_port"] = self.telemetry_port
         if self.access_log_lines is not None:
             out["access_log_lines"] = self.access_log_lines
-        if self.perf is not None:
-            out["perf"] = {
-                "mode": self.perf.mode,
-                "unit": self.perf.unit,
-                "hz": self.perf.hz,
-                "samples": self.perf.folds.total,
-                "event_types": len(self.perf.counters),
-            }
         return out
 
 
@@ -105,9 +94,6 @@ def _build_recorder(
     with timers.phase("engine.setup"):
         eng = build_engine(config, engine, trace=trace)
     bind_simulation_metrics(registry, eng.metrics)
-    eng.sim.profile = timers
-    if eng._fastpath is not None:
-        eng._fastpath.profile = timers
     snapshotter = None
     if topology_interval is not None:
         snapshotter = TopologySnapshotter(eng, topology_interval, registry)
@@ -131,19 +117,6 @@ def _live_tracer(
     return tracer, logger
 
 
-def _perf_recorder(perf: str | None, perf_hz: float) -> Any:
-    """A :class:`~repro.obs.perf.recorder.PerfRecorder` for ``perf`` mode.
-
-    ``perf`` is ``None`` (profiling off), ``"sampler"``, or ``"counting"``.
-    Imported lazily so untraced recordings never touch the perf package.
-    """
-    if perf is None:
-        return None
-    from repro.obs.perf.recorder import PerfRecorder
-
-    return PerfRecorder(mode=perf, hz=perf_hz)
-
-
 def record_run(
     config: "GnutellaConfig",
     engine: str = "fast",
@@ -154,10 +127,8 @@ def record_run(
     telemetry_port: int | None = None,
     access_log: str | Path | None = None,
     access_log_sample: float = 1.0,
-    perf: str | None = None,
-    perf_hz: float = 97.0,
 ) -> RecordedRun:
-    """Run one simulation with tracing, profiling, and metrics bound.
+    """Run one simulation with tracing, phase timing, and metrics bound.
 
     Returns a :class:`RecordedRun`; ``event_digest`` is the event-stream
     SHA-256 (``None`` when ``hash_events`` is false). Because tracing and
@@ -175,12 +146,6 @@ def record_run(
     access-log lines derived from query spans. Either option upgrades the
     default tracer to :class:`~repro.obs.telemetry.live.LiveTelemetry` —
     still pure observation, so the digest guarantee holds unchanged.
-
-    ``perf`` attaches the host-side profiling plane (:mod:`repro.obs.perf`):
-    ``"sampler"`` for wall-clock stack sampling at ``perf_hz``,
-    ``"counting"`` for the deterministic call counter. Profilers observe
-    the host only, so the digest guarantee again holds unchanged
-    (``tests/obs/perf/test_perf_digest.py``).
     """
     from repro.gnutella.simulation import summarize
 
@@ -196,9 +161,6 @@ def record_run(
         from repro.lint.sanitize import attach_hasher
 
         hasher = attach_hasher(eng.sim)
-    recorder = _perf_recorder(perf, perf_hz)
-    if recorder is not None:
-        recorder.attach(eng)
     sidecar: TelemetrySidecar | None = None
     bound_port: int | None = None
     if telemetry_port is not None:
@@ -207,14 +169,9 @@ def record_run(
         )
         bound_port = sidecar.start()
     try:
-        if recorder is not None:
-            recorder.start()
         with timers.phase("engine.run"):
             eng.run()
     finally:
-        if recorder is not None:
-            recorder.boundary("engine.run")
-            recorder.stop()
         if sidecar is not None:
             sidecar.stop()
         if logger is not None:
@@ -234,7 +191,6 @@ def record_run(
         topology=snapshotter,
         telemetry_port=bound_port,
         access_log_lines=logger.written if logger is not None else None,
-        perf=recorder,
     )
 
 
@@ -248,8 +204,6 @@ def record_run_dir(
     telemetry_port: int | None = None,
     access_log: str | Path | None = None,
     access_log_sample: float = 1.0,
-    perf: str | None = None,
-    perf_hz: float = 97.0,
 ) -> dict[str, Any]:
     """Run one recorded simulation and lay it out as a record directory.
 
@@ -264,11 +218,7 @@ def record_run_dir(
       phase timings, and the hourly series the report charts are drawn
       from;
     * ``access.jsonl`` — sampled structured access-log lines (when
-      ``access_log`` is set; relative paths land inside ``out_dir``);
-    * ``perf.collapsed`` / ``perf.json`` — collapsed-stack folds and the
-      profile document (when ``perf`` is set; ``repro-report`` renders
-      them as the flamegraph panel and ``repro-flamegraph`` renders the
-      folds standalone).
+      ``access_log`` is set; relative paths land inside ``out_dir``).
 
     ``telemetry_port`` additionally serves live exposition from an HTTP
     sidecar while the run executes (0 = ephemeral).
@@ -299,9 +249,6 @@ def record_run_dir(
         from repro.lint.sanitize import attach_hasher
 
         hasher = attach_hasher(eng.sim)
-    recorder = _perf_recorder(perf, perf_hz)
-    if recorder is not None:
-        recorder.attach(eng)
     sidecar: TelemetrySidecar | None = None
     bound_port: int | None = None
     if telemetry_port is not None:
@@ -310,17 +257,12 @@ def record_run_dir(
         )
         bound_port = sidecar.start()
     try:
-        if recorder is not None:
-            recorder.start()
         with timers.phase("engine.run"), trace.flushed(out / "trace.jsonl"):
             eng.run()
     finally:
         # Crash-safe like the trace: whatever snapshots exist are written.
         if snapshotter is not None:
             snapshotter.write_jsonl(out / "topology.jsonl")
-        if recorder is not None:
-            recorder.boundary("engine.run")
-            recorder.stop()
         if sidecar is not None:
             sidecar.stop()
         if logger is not None:
@@ -338,8 +280,6 @@ def record_run_dir(
     files = ["summary.json", "metrics.json", "trace.jsonl"]
     if snapshotter is not None:
         files.append("topology.jsonl")
-    if recorder is not None:
-        files.extend(recorder.write(out))
     if access_path is not None:
         try:
             files.append(str(access_path.relative_to(out)))
@@ -366,17 +306,6 @@ def record_run_dir(
             "access_log": str(access_path) if access_path is not None else None,
             "access_log_lines": logger.written if logger is not None else None,
         },
-        "perf": (
-            {
-                "mode": recorder.mode,
-                "unit": recorder.unit,
-                "hz": recorder.hz,
-                "samples": recorder.folds.total,
-                "event_types": len(recorder.counters),
-            }
-            if recorder is not None
-            else None
-        ),
         "series": {
             "hours": [int(h) for h in hours],
             "hits": [int(v) for v in hits],

@@ -329,114 +329,6 @@ def _telemetry_rows(aggregate: Mapping[str, Any]) -> list[list[Any]]:
     return rows
 
 
-def _perf_panel(record_dir: Path) -> list[str]:
-    """The profiling panel of a record report (empty when unprofiled).
-
-    Renders ``perf.json`` / ``perf.collapsed`` written by ``repro-trace
-    record --perf``: headline cards, the inline-SVG flame graph (embedded
-    form, no xmlns — the report must stay free of external references),
-    the hot-frame table, the per-event-type cost table, and top allocation
-    sites per phase boundary.
-    """
-    perf_path = record_dir / "perf.json"
-    if not perf_path.is_file():
-        return []
-    from repro.obs.perf.collapse import FoldedStacks
-    from repro.obs.perf.flamegraph import render_flamegraph_svg
-
-    perf = json.loads(perf_path.read_text(encoding="utf-8"))
-    unit = str(perf.get("unit", "samples"))
-    body: list[str] = ["<h2>Profiling</h2>"]
-    body.append(
-        _cards(
-            [
-                ("profiler", perf.get("mode")),
-                ("rate (hz)", perf.get("hz")),
-                (unit, perf.get("samples")),
-                ("profiled wall seconds", perf.get("wall_seconds")),
-                ("event classes", len(perf.get("event_types") or {})),
-            ]
-        )
-    )
-    collapsed_path = record_dir / "perf.collapsed"
-    if collapsed_path.is_file():
-        folds = FoldedStacks.parse_collapsed(
-            collapsed_path.read_text(encoding="utf-8")
-        )
-        body.append(
-            render_flamegraph_svg(
-                folds, title="Host flame graph", unit=unit
-            )
-        )
-        body.append(
-            "<p>Hover a frame for its share; widths are proportional to "
-            f"{_esc(unit)}. Export <code>perf.collapsed</code> to any "
-            "flamegraph.pl-compatible tool for interactive views.</p>"
-        )
-    frames = perf.get("frames") or {}
-    if frames:
-        use_seconds = any(entry.get("self_seconds") for entry in frames.values())
-        key = "self_seconds" if use_seconds else "self_count"
-        ranked = sorted(
-            frames.items(), key=lambda item: (-float(item[1].get(key, 0.0)), item[0])
-        )
-        body.append("<h2>Hot frames</h2>")
-        body.append(
-            _table(
-                ["frame", "self s", "cum s", f"self {unit}", f"cum {unit}"],
-                [
-                    [
-                        frame,
-                        f"{float(entry.get('self_seconds', 0.0)):.3f}",
-                        f"{float(entry.get('cum_seconds', 0.0)):.3f}",
-                        int(entry.get("self_count", 0)),
-                        int(entry.get("cum_count", 0)),
-                    ]
-                    for frame, entry in ranked
-                ],
-            )
-        )
-    event_types = perf.get("event_types") or {}
-    if event_types:
-        body.append("<h2>Per-event-type cost</h2>")
-        body.append(
-            _table(
-                ["event class", "events", "wall s", "events/s"],
-                [
-                    [
-                        label,
-                        int(entry.get("events", 0)),
-                        f"{float(entry.get('seconds', 0.0)):.3f}",
-                        f"{float(entry.get('events_per_sec', 0.0)):.0f}",
-                    ]
-                    for label, entry in event_types.items()
-                ],
-            )
-        )
-    alloc_phases = (perf.get("alloc") or {}).get("phases") or {}
-    for phase, snapshot in alloc_phases.items():
-        body.append(f"<h2>Allocation sites — {_esc(phase)}</h2>")
-        body.append(
-            "<p>Live tracemalloc view at the boundary: traced "
-            f"{_esc(_fmt(snapshot.get('traced_kb')))} KiB, peak "
-            f"{_esc(_fmt(snapshot.get('peak_kb')))} KiB.</p>"
-        )
-        body.append(
-            _table(
-                ["site", "size KiB", "blocks"],
-                [
-                    [
-                        site.get("site"),
-                        f"{float(site.get('size_kb', 0.0)):.1f}",
-                        int(site.get("blocks", 0)),
-                    ]
-                    for site in snapshot.get("sites") or []
-                ],
-            )
-        )
-    return body
-
-
 def _convergence_text(convergence: Mapping[str, Any] | None) -> str:
     if not convergence:
         return "not measured"
@@ -589,7 +481,6 @@ def _render_record(record_dir: Path) -> str:
                 )
             )
 
-    body.extend(_perf_panel(record_dir))
     phases = summary.get("phases") or {}
     if phases:
         body.append("<h2>Wall-clock phases</h2>")

@@ -9,7 +9,6 @@ queueing primitives).
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SchedulingError, SimulationError
@@ -45,19 +44,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._events_executed = 0
-        #: Optional wall-clock profiler (:class:`repro.obs.profile.
-        #: PhaseTimers`); when set, every :meth:`run` folds its wall time
-        #: into the ``"kernel.run"`` phase. Checked once per ``run()`` call,
-        #: never per event, and purely observational — it cannot change
-        #: event order or the event-stream digest.
-        self.profile: Any = None
-        #: Optional per-event-type cost accounting (:class:`repro.obs.perf.
-        #: perf_counters.EventTypeCounters`); when set, the run loop times
-        #: each dispatched callback and charges it to the callback's event
-        #: class. Branchless when unset (the run loop splits once, up
-        #: front); purely observational like :attr:`profile` — the perf
-        #: digest-neutrality tests enforce it.
-        self.perf: Any = None
 
     # ------------------------------------------------------------------
     # Clock and introspection
@@ -207,25 +193,6 @@ class Simulator:
             return time
         return None
 
-    def _step_timed(self, perf: Any) -> None:
-        """Pop one entry; unless cancelled, run it with its wall time in ``perf``.
-
-        A separate body (rather than a branch inside :meth:`run`'s loop)
-        keeps the unprofiled hot path free of per-event overhead. The timing
-        is wall-clock on purpose — it measures the host, never the
-        simulation — and recording happens *after* the callback returns, so
-        the observation cannot affect event order.
-        """
-        time, handle = self._queue.pop()
-        if handle.cancelled:
-            return
-        self._now = time
-        self._events_executed += 1
-        fn = handle.fn
-        t0 = perf_counter()  # repro-lint: disable=R002
-        fn(*handle.args)
-        perf.record(fn, perf_counter() - t0)  # repro-lint: disable=R002
-
     def run(self, until: float | None = None) -> None:
         """Run until the queue drains, or until the clock reaches ``until``.
 
@@ -240,42 +207,27 @@ class Simulator:
             raise SchedulingError(f"until={until!r} is in the past (now={self._now!r})")
         self._running = True
         self._stopped = False
-        profile = self.profile
-        perf = self.perf
-        # Wall-clock on purpose: profiling measures real elapsed time, not
-        # simulated time, and never feeds back into the simulation.
-        t0 = perf_counter() if profile is not None else 0.0  # repro-lint: disable=R002
         try:
-            # One entry per iteration on both paths: a cancelled entry is
-            # dropped and the loop comes round to the ``until`` test again, so
-            # the entry behind it never runs unchecked. Through the queue's
-            # public interface — the event-stream hasher stands in for it.
+            # One entry per iteration: a cancelled entry is dropped and the
+            # loop comes round to the ``until`` test again, so the entry
+            # behind it never runs unchecked. Through the queue's public
+            # interface — the event-stream hasher stands in for it.
             queue = self._queue
             peek_time, pop = queue.peek_time, queue.pop
             limit = math.inf if until is None else until
-            if perf is None:
-                while queue:
-                    if peek_time() > limit:
-                        break
-                    time, handle = pop()
-                    if handle.cancelled:
-                        continue
-                    self._now = time
-                    self._events_executed += 1
-                    handle.fn(*handle.args)
-                    if self._stopped:
-                        break
-            else:
-                # The same loop with the per-event timing step: the split is
-                # hoisted so the unprofiled path carries no branch per event.
-                while queue and not self._stopped:
-                    if peek_time() > limit:
-                        break
-                    self._step_timed(perf)
+            while queue:
+                if peek_time() > limit:
+                    break
+                time, handle = pop()
+                if handle.cancelled:
+                    continue
+                self._now = time
+                self._events_executed += 1
+                handle.fn(*handle.args)
+                if self._stopped:
+                    break
         finally:
             self._running = False
-            if profile is not None:
-                profile.add("kernel.run", perf_counter() - t0)  # repro-lint: disable=R002
         if until is not None and not self._stopped:
             self._now = max(self._now, until)
 

@@ -4,6 +4,7 @@ misjudged; the legacy flag interface keeps working next to the subcommand."""
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,14 +142,36 @@ def test_repro_bench_dispatches_compare_subcommand(tmp_path, baseline, capsys):
     assert bench_main(["compare", old, new]) == 1
 
 
-def test_committed_baseline_compares_against_itself():
-    from pathlib import Path
+_COMMITTED_BASELINE = Path(__file__).resolve().parents[2] / "BENCH_e3f1347.json"
 
-    baseline_path = Path(__file__).resolve().parents[2] / "BENCH_4a20a5e.json"
-    snapshot = json.loads(baseline_path.read_text())
+
+def test_committed_baseline_compares_against_itself():
+    snapshot = json.loads(_COMMITTED_BASELINE.read_text())
     report = compare_snapshots(snapshot, snapshot)
     assert report.ok
     assert len(report.deltas) >= 4
+
+
+def test_committed_baseline_against_snapshot_without_profile_data(tmp_path, capsys):
+    # The committed baseline still carries a ``profile`` block and per-tier
+    # ``event_types`` tables; snapshots written now carry neither. Both are
+    # ignored, exactly as CI's ``repro-bench compare`` step sees them.
+    snapshot = json.loads(_COMMITTED_BASELINE.read_text())
+    assert "profile" in snapshot
+    assert any("event_types" in tier for tier in snapshot["scale"].values())
+    current = copy.deepcopy(snapshot)
+    del current["profile"]
+    for tier in current["scale"].values():
+        tier.pop("event_types", None)
+    report = compare_snapshots(snapshot, current)
+    assert report.ok
+    assert not any("profile" in note for note in report.skipped)
+    old = _write(tmp_path, "old.json", snapshot)
+    new = _write(tmp_path, "new.json", current)
+    assert compare_main([old, new]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ok"] is True
+    assert "profile" not in captured.out + captured.err
 
 
 @pytest.fixture()
@@ -218,116 +241,6 @@ def test_serving_section_new_in_new_snapshot_is_noted(baseline, baseline_with_se
 
 def test_serving_section_absent_from_both_is_fine(baseline):
     assert compare_snapshots(baseline, baseline).ok
-
-
-def _profile_block(hot_seconds):
-    return {
-        "hz": 97.0,
-        "samples": 400.0,
-        "wall_seconds": 4.0,
-        "frames": {
-            "repro.core.fastpath:search": {
-                "self_count": 300.0,
-                "cum_count": 380.0,
-                "self_seconds": hot_seconds,
-                "cum_seconds": hot_seconds + 0.5,
-            },
-            "repro.sim.kernel:run": {
-                "self_count": 50.0,
-                "cum_count": 400.0,
-                "self_seconds": 0.4,
-                "cum_seconds": 4.0,
-            },
-        },
-        "event_types": {
-            "fastpath.search": {
-                "events": 2000.0, "seconds": 1.0, "events_per_sec": 2000.0
-            }
-        },
-    }
-
-
-@pytest.fixture()
-def profiled_pair(baseline):
-    """A profiled baseline plus a regressed candidate whose profile moved."""
-    old = copy.deepcopy(baseline)
-    old["profile"] = _profile_block(2.0)
-    slow = copy.deepcopy(old)
-    slow["rev"] = "cccc333"
-    slow["kernels"]["event_queue"]["seconds"] *= 2.0
-    slow["profile"] = _profile_block(3.5)
-    return old, slow
-
-
-class TestProfileAttribution:
-    def test_regression_names_the_moved_frame(self, profiled_pair):
-        old, slow = profiled_pair
-        report = compare_snapshots(old, slow)
-        assert not report.ok
-        assert report.attribution
-        top = report.attribution[0]
-        assert top["frame"] == "repro.core.fastpath:search"
-        assert top["metric"] == "self_seconds"
-        assert top["delta"] == pytest.approx(1.5)
-        assert report.as_dict()["attribution"][0]["frame"] == top["frame"]
-
-    def test_no_regression_means_no_attribution(self, profiled_pair):
-        old, slow = profiled_pair
-        slow = copy.deepcopy(slow)
-        slow["kernels"] = copy.deepcopy(old["kernels"])  # undo the slowdown
-        report = compare_snapshots(old, slow)
-        assert report.ok
-        assert report.attribution == ()
-
-    def test_attribution_stable_under_frame_order_permutation(self, profiled_pair):
-        old, slow = profiled_pair
-        shuffled = copy.deepcopy(slow)
-        shuffled["profile"]["frames"] = dict(
-            reversed(list(shuffled["profile"]["frames"].items()))
-        )
-        assert (
-            compare_snapshots(old, slow).attribution
-            == compare_snapshots(old, shuffled).attribution
-        )
-
-    def test_profile_block_new_in_new_snapshot_is_noted(self, baseline):
-        profiled = copy.deepcopy(baseline)
-        profiled["profile"] = _profile_block(2.0)
-        report = compare_snapshots(baseline, profiled)
-        assert report.ok
-        assert "profile block is new (no baseline)" in report.skipped
-        assert report.attribution == ()
-
-    def test_old_profile_without_new_is_silent(self, baseline):
-        profiled = copy.deepcopy(baseline)
-        profiled["profile"] = _profile_block(2.0)
-        report = compare_snapshots(profiled, baseline)
-        assert report.ok
-        assert report.attribution == ()
-
-    def test_profile_block_itself_is_never_judged(self, profiled_pair):
-        # Sampling noise in the profile must not create regressions: only
-        # kernel/serving/scale metrics are judged.
-        old, slow = profiled_pair
-        slow = copy.deepcopy(slow)
-        slow["kernels"] = copy.deepcopy(old["kernels"])
-        slow["profile"] = _profile_block(50.0)  # wild profile swing
-        report = compare_snapshots(old, slow)
-        assert report.ok
-        assert all("profile" not in d.kernel for d in report.deltas)
-
-    def test_cli_prints_attribution_and_keeps_exit_code(
-        self, tmp_path, profiled_pair, capsys
-    ):
-        old, slow = profiled_pair
-        assert compare_main(
-            [_write(tmp_path, "old.json", old), _write(tmp_path, "new.json", slow)]
-        ) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        assert "ATTRIBUTION repro.core.fastpath:search" in captured.err
-        payload = json.loads(captured.out)
-        assert payload["attribution"][0]["frame"] == "repro.core.fastpath:search"
 
 
 class TestHostWarning:

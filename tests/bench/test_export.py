@@ -129,39 +129,3 @@ def test_host_provenance_always_in_snapshot(stubbed_cli, monkeypatch, tmp_path):
     snapshot = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
     assert snapshot["host"] == fake_host
 
-
-def test_profile_flag_adds_profile_block(stubbed_cli, monkeypatch, tmp_path):
-    seen = {}
-    fake_block = {
-        "hz": 31.0,
-        "samples": 10.0,
-        "wall_seconds": 0.5,
-        "frames": {"m:f": {"self_count": 10.0, "cum_count": 10.0,
-                           "self_seconds": 0.3, "cum_seconds": 0.3}},
-        "event_types": {"m.f": {"events": 5.0, "seconds": 0.3,
-                                "events_per_sec": 16.7}},
-    }
-
-    def fake_profile(preset="smoke", seed=0, hz=97.0, log=None):
-        seen.update(preset=preset, seed=seed, hz=hz)
-        return fake_block
-
-    monkeypatch.setattr(cli, "profile_smoke", fake_profile)
-    status = stubbed_cli.main(
-        ["--skip-figures", "--profile", "--profile-hz", "31",
-         "--seed", "7", "--output-dir", str(tmp_path)]
-    )
-    assert status == 0
-    assert seen == {"preset": "smoke", "seed": 7, "hz": 31.0}
-    snapshot = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
-    assert snapshot["profile"] == fake_block
-
-
-def test_no_profile_flag_no_profile_block(stubbed_cli, monkeypatch, tmp_path):
-    def explode(**kwargs):  # pragma: no cover - must never run
-        raise AssertionError("profile_smoke ran without --profile")
-
-    monkeypatch.setattr(cli, "profile_smoke", explode)
-    stubbed_cli.main(["--skip-figures", "--output-dir", str(tmp_path)])
-    snapshot = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
-    assert "profile" not in snapshot

@@ -78,9 +78,12 @@ def test_attach_tracer_after_run_is_rejected():
 
 def test_record_run_profiles_phases_and_binds_metrics():
     recorded = record_run(_config(horizon=2 * 3600.0), "fast")
-    phases = recorded.timers.as_dict()
-    for phase in ("engine.setup", "engine.run", "engine.teardown", "kernel.run"):
-        assert phase in phases
+    # Phases are taken around the engine only; nothing inside it is timed.
+    assert set(recorded.timers.as_dict()) == {
+        "engine.setup",
+        "engine.run",
+        "engine.teardown",
+    }
     snapshot = recorded.registry.snapshot()
     assert snapshot["sim.total_queries"]["value"] == (
         recorded.result.metrics.total_queries

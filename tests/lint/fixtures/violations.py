@@ -114,18 +114,6 @@ def delay_for(pair, compute):
     return _DELAY_CACHE[pair]
 
 
-@mark_observer
-def perf_sink_write_is_fine(engine, perf_counters, alloc_snapshots):
-    perf_counters.record_named("fastpath.search", 0.001)
-    alloc_snapshots.snapshot("engine.run")
-    return len(engine.peers)
-
-
-@mark_observer
-def perf_sink_back_into_engine(stack_sampler):
-    stack_sampler.engine.peers = []  # expect: R006
-
-
 def suppressed_draw():
     # The justification comment rides along with the suppression:
     return random.random()  # repro-lint: disable=R001 -- fixture: exercising suppression syntax

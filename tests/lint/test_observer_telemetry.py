@@ -84,38 +84,3 @@ def test_non_sink_parameter_is_still_conservatively_engine():
     )
     assert codes(src) == [("R006", 4)]
 
-
-def test_sink_names_cover_the_profiling_plane():
-    assert {"stack_sampler", "perf_counters", "alloc_snapshots"} <= (
-        TELEMETRY_SINK_NAMES
-    )
-
-
-def test_perf_sink_writes_are_not_flagged():
-    src = PREAMBLE + (
-        "@mark_observer\n"
-        "def profile(engine, perf_counters, stack_sampler, alloc_snapshots):\n"
-        "    perf_counters.record_named('fastpath.search', 0.001)\n"
-        "    stack_sampler.samples = 0\n"
-        "    alloc_snapshots.snapshot('engine.run')\n"
-        "    return len(engine.peers)\n"
-    )
-    assert codes(src) == []
-
-
-def test_perf_sink_closure_free_variable_is_clean():
-    src = PREAMBLE + (
-        "@mark_observer\n"
-        "def boundary():\n"
-        "    alloc_snapshots.snapshot('engine.run')\n"
-    )
-    assert codes(src) == []
-
-
-def test_engine_state_reached_through_a_perf_sink_is_still_flagged():
-    src = PREAMBLE + (
-        "@mark_observer\n"
-        "def sneaky(perf_counters):\n"
-        "    perf_counters.sim.queue = []\n"
-    )
-    assert codes(src) == [("R006", 4)]

@@ -10,10 +10,10 @@ from repro.obs.profile import PhaseTimers
 class TestPhaseTimers:
     def test_add_accumulates_seconds_and_counts(self):
         timers = PhaseTimers()
-        timers.add("kernel.run", 0.25)
-        timers.add("kernel.run", 0.75)
-        assert timers.seconds("kernel.run") == pytest.approx(1.0)
-        assert timers.count("kernel.run") == 2
+        timers.add("engine.run", 0.25)
+        timers.add("engine.run", 0.75)
+        assert timers.seconds("engine.run") == pytest.approx(1.0)
+        assert timers.count("engine.run") == 2
         assert len(timers) == 1
 
     def test_negative_seconds_rejected(self):

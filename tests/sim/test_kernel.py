@@ -1,13 +1,14 @@
 """Tests for the discrete-event kernel: scheduling, ordering, run loop."""
 
 import math
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError, SimulationError
-from repro.obs.perf.perf_counters import EventTypeCounters
+from repro.obs.profile import PhaseTimers
 from repro.sim import Simulator
 from repro.sim.events import HIGH, LOW
 
@@ -122,36 +123,43 @@ class TestRunLoop:
         sim.run()
         assert fired == ["a", "b"]
 
-    @pytest.mark.parametrize("perf", [None, EventTypeCounters()], ids=["plain", "perf"])
-    def test_run_until_holds_behind_a_cancelled_head(self, perf):
-        """The entry behind a skipped cancelled one is checked against ``until`` too."""
+    @pytest.mark.parametrize("with_timers", [False, True], ids=["plain", "perf"])
+    def test_run_until_holds_behind_a_cancelled_head(self, with_timers):
+        """The entry behind a skipped cancelled one is checked against ``until``
+        too, whether or not the caller times the run from outside the engine."""
+        timers = PhaseTimers() if with_timers else None
+
+        def timed():
+            return nullcontext() if timers is None else timers.phase("engine.run")
+
         sim = Simulator()
-        sim.perf = perf
         fired = []
         head = sim.schedule(1.0, fired.append, "f")
         sim.schedule(5.0, fired.append, "g")
         head.cancel()
-        sim.run(until=2.0)
+        with timed():
+            sim.run(until=2.0)
         assert fired == []
         assert math.isclose(sim.now, 2.0)
         assert sim.pending == 1
-        sim.run()
+        with timed():
+            sim.run()
         assert fired == ["g"]
         assert math.isclose(sim.now, 5.0)
+        if timers is not None:
+            assert timers.count("engine.run") == 2
 
     @given(
         st.lists(st.tuples(st.floats(0.0, 100.0), st.booleans()), min_size=1, max_size=40),
         st.lists(st.floats(0.0, 100.0), max_size=8),
-        st.booleans(),
     )
-    def test_property_chunked_run_equals_one_call(self, entries, cuts, with_perf):
+    def test_property_chunked_run_equals_one_call(self, entries, cuts):
         """Chunked ``run(until=...)`` over cancelled entries: each chunk keeps
         its bound, and the chunks together execute what one call executes, at
         the same clock readings."""
 
         def build():
             sim = Simulator()
-            sim.perf = EventTypeCounters() if with_perf else None
             log = []
             for label, (delay, cancelled) in enumerate(entries):
                 handle = sim.schedule(delay, lambda label=label: log.append((sim.now, label)))
