@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from repro.experiments import figure1
 from repro.experiments.common import preset_config
-from repro.gnutella.simulation import simulate_profiled
+from repro.gnutella.simulation import simulate
 from repro.lint.sanitize import run_hashed
 from repro.obs.profile import PhaseTimers
 
@@ -38,8 +38,8 @@ class FigureReport:
     static_messages: int
     dynamic_messages: int
     #: Aggregated ``repro.obs`` wall-clock phase timings across both runs
-    #: (setup / kernel run / fast-path kernel / teardown) — where the
-    #: benchmark's ``seconds`` actually went.
+    #: (engine setup / run / teardown) — where the benchmark's ``seconds``
+    #: actually went.
     phases: dict[str, Any] = field(default_factory=dict)
     #: Time-to-convergence in hours per scheme (``repro.obs.convergence``
     #: over the reconfiguration series); ``None`` when the run never
@@ -89,18 +89,18 @@ class DigestGateReport:
 def figure_smoke(preset: str = "smoke", seed: int = 0) -> FigureReport:
     """Run Figure 1 (both schemes, TTL 2) at ``preset`` scale, timed.
 
-    Runs through :func:`~repro.gnutella.simulation.simulate_profiled` so the
+    Runs through :func:`~repro.gnutella.simulation.simulate` so the
     snapshot also records where the wall time went (phase breakdown).
     """
     timers = PhaseTimers()
 
-    def simulate(config, engine="fast"):
-        result, _digest, phases = simulate_profiled(config, engine)
-        timers.merge(phases)
-        return result
+    def timed(config, engine="fast"):
+        run = simulate(config, engine)
+        timers.merge(run.phases)
+        return run.result
 
     t0 = time.perf_counter()
-    result = figure1.run(preset=preset, seed=seed, simulate=simulate)
+    result = figure1.run(preset=preset, seed=seed, simulate=timed)
     seconds = time.perf_counter() - t0
 
     def convergence_hours(sim_result: Any) -> float | None:

@@ -1,7 +1,7 @@
-"""``python -m repro.experiments`` dispatches to the CLI runner."""
+"""``python -m repro.experiments`` — the ``repro-experiments`` figure CLI."""
 
 import sys
 
-from repro.experiments.runner import main
+from repro.orchestrate.cli import main
 
 sys.exit(main())

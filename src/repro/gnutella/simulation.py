@@ -11,11 +11,11 @@ from repro.gnutella.fast import FastGnutellaEngine
 from repro.gnutella.metrics import SimulationMetrics
 
 __all__ = [
+    "Simulated",
     "SimulationResult",
     "build_engine",
     "run_simulation",
-    "simulate_profiled",
-    "simulate_task",
+    "simulate",
     "summarize",
 ]
 
@@ -58,7 +58,7 @@ def build_engine(
 ) -> FastGnutellaEngine:
     """Construct (but do not run) the engine named by ``engine``.
 
-    Split out of :func:`run_simulation` so callers can instrument the engine
+    Split out of :func:`simulate` so callers can instrument the engine
     before running — e.g. :func:`repro.lint.sanitize.attach_hasher` wraps the
     kernel's event queue, and :func:`~repro.lint.sanitize.install_consistency_checks`
     schedules periodic invariant probes.
@@ -106,108 +106,88 @@ def summarize(eng: FastGnutellaEngine) -> SimulationResult:
     )
 
 
-def run_simulation(
+@dataclass(frozen=True, slots=True)
+class Simulated:
+    """One :func:`simulate` run: its summary, digest and phase timings.
+
+    Attributes
+    ----------
+    result:
+        The summarized run.
+    event_digest:
+        The :mod:`repro.lint.sanitize` event-stream SHA-256 when the run was
+        hashed, else ``None``.
+    phases:
+        Wall-clock ``engine.setup`` / ``engine.run`` / ``engine.teardown``
+        timings (:class:`repro.obs.profile.PhaseTimers` ``as_dict()``),
+        taken around the engine, never inside it.
+    """
+
+    result: SimulationResult
+    event_digest: str | None
+    phases: dict
+
+
+def simulate(
     config: GnutellaConfig,
     engine: str = "fast",
     *,
+    hash_events: bool = False,
     sanitize: bool | None = None,
-    trace=None,
-) -> SimulationResult:
-    """Build the world from ``config``, run it, and summarize.
+) -> Simulated:
+    """Build the world from ``config``, run it, and summarize — timed.
+
+    The one run body behind :func:`run_simulation`,
+    :func:`repro.lint.sanitize.run_hashed` and every orchestrated figure
+    task. A module-level function of picklable arguments touching no shared
+    state, so process pools can fan it out; every stochastic component
+    seeds from ``config.seed``, so the result is bit-identical wherever the
+    run executes.
 
     Parameters
     ----------
     config:
         Simulation parameters (see :class:`GnutellaConfig`).
     engine:
-        ``"fast"`` (atomic queries; the figure-scale default) or
-        ``"detailed"`` (message-level; validation scale).
+        ``"fast"`` (atomic queries; the figure-scale default),
+        ``"fast-reference"`` or ``"detailed"`` (message-level; validation
+        scale) — see :func:`build_engine`.
+    hash_events:
+        Fold every executed event into a SHA-256 digest
+        (:func:`repro.lint.sanitize.attach_hasher`).
     sanitize:
         Install the periodic Section 3.1 consistency assertions of
         :mod:`repro.lint.sanitize` into the run (debug mode; a violation
-        raises :class:`~repro.errors.SanitizerError`).  ``None`` (default)
+        raises :class:`~repro.errors.SanitizerError`). ``None`` (default)
         defers to the ``REPRO_SANITIZE`` environment variable.
-    trace:
-        Attach a live :class:`repro.obs.trace.Tracer` for the run. ``None``
-        (default) defers to the ``REPRO_TRACE`` environment variable: when
-        that names a path, a tracer is created and its JSONL event stream is
-        written there after the run — exception-safely, via
-        :meth:`~repro.obs.trace.Tracer.flushed`, so a mid-run crash still
-        leaves a valid parseable trace of everything up to the failure.
+
+    Hashing and sanitizing only observe, so neither moves the digest.
     """
-    trace_path = None
-    if trace is None:
-        from repro.obs.trace import Tracer, trace_env_path
-
-        trace_path = trace_env_path()
-        if trace_path is not None:
-            trace = Tracer()
-    eng = build_engine(config, engine, trace=trace)
-    if sanitize is None:
-        from repro.lint.sanitize import sanitizer_env_enabled
-
-        sanitize = sanitizer_env_enabled()
-    if sanitize:
-        from repro.lint.sanitize import install_consistency_checks
-
-        install_consistency_checks(eng)
-    if trace_path is not None:
-        with trace.flushed(trace_path):
-            eng.run()
-    else:
-        eng.run()
-    return summarize(eng)
-
-
-def simulate_task(
-    config: GnutellaConfig, engine: str = "fast", *, hash_events: bool = False
-) -> tuple[SimulationResult, str | None]:
-    """Worker-safe simulation entry point for process pools.
-
-    A module-level function (so executors can pickle it by reference) taking
-    only picklable arguments and touching no shared state — the contract
-    :mod:`repro.orchestrate.pool` needs to fan simulations out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Every stochastic
-    component seeds from ``config.seed`` via :class:`repro.rng.RngStreams`,
-    so the result is bit-identical wherever (and alongside whatever) the
-    task runs.
-
-    Returns ``(result, event_digest)``; ``event_digest`` is the
-    :mod:`repro.lint.sanitize` event-stream SHA-256 when ``hash_events`` is
-    true, else ``None``.
-    """
-    if hash_events:
-        from repro.lint.sanitize import run_hashed, sanitizer_env_enabled
-
-        return run_hashed(config, engine, sanitize=sanitizer_env_enabled())
-    return run_simulation(config, engine), None
-
-
-def simulate_profiled(
-    config: GnutellaConfig, engine: str = "fast", *, hash_events: bool = False
-) -> tuple[SimulationResult, str | None, dict]:
-    """:func:`simulate_task` plus wall-clock phase timings.
-
-    Same worker-safe contract (module-level, picklable arguments, no shared
-    state); additionally times engine setup, run, and teardown with a
-    :class:`repro.obs.profile.PhaseTimers` taken around the engine, returning
-    its ``as_dict()`` as the third element. Nothing is attached to the
-    engine, so the digest matches :func:`simulate_task`'s for the same
-    config.
-    """
+    from repro.lint.sanitize import (
+        attach_hasher,
+        install_consistency_checks,
+        sanitizer_env_enabled,
+    )
     from repro.obs.profile import PhaseTimers
 
     timers = PhaseTimers()
     with timers.phase("engine.setup"):
         eng = build_engine(config, engine)
-    hasher = None
-    if hash_events:
-        from repro.lint.sanitize import attach_hasher
-
-        hasher = attach_hasher(eng.sim)
+    hasher = attach_hasher(eng.sim) if hash_events else None
+    if sanitize is None:
+        sanitize = sanitizer_env_enabled()
+    if sanitize:
+        install_consistency_checks(eng)
     with timers.phase("engine.run"):
         eng.run()
-    digest = hasher.hexdigest() if hasher is not None else None
     with timers.phase("engine.teardown"):
         result = summarize(eng)
-    return result, digest, timers.as_dict()
+    digest = hasher.hexdigest() if hasher is not None else None
+    return Simulated(result, digest, timers.as_dict())
+
+
+def run_simulation(
+    config: GnutellaConfig, engine: str = "fast", *, sanitize: bool | None = None
+) -> SimulationResult:
+    """:func:`simulate` without the digest and timings: just the result."""
+    return simulate(config, engine, sanitize=sanitize).result

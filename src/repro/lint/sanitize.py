@@ -12,9 +12,11 @@ runtime, cheaply enough to leave on in tests:
   symmetric relation) into a Gnutella engine, reusing
   :mod:`repro.core.consistency`.
 
-Both hooks are opt-in ("debug flag"): pass ``sanitize=True`` to
-:func:`repro.gnutella.simulation.run_simulation`, or set the environment
-variable ``REPRO_SANITIZE=1`` to force them on everywhere.
+Both hooks are opt-in: pass ``hash_events=True`` / ``sanitize=True`` to
+:func:`repro.gnutella.simulation.simulate`, the one run body behind
+:func:`~repro.gnutella.simulation.run_simulation`, :func:`run_hashed` and
+every orchestrated figure task. The environment variable
+``REPRO_SANITIZE=1`` forces the consistency checks on for all of them.
 """
 
 from __future__ import annotations
@@ -213,11 +215,8 @@ def run_hashed(
     Returns ``(result, hexdigest)``.  Two calls with an identical ``config``
     must return identical digests; anything else is a determinism bug.
     """
-    from repro.gnutella.simulation import build_engine, summarize
+    from repro.gnutella.simulation import simulate
 
-    eng = build_engine(config, engine)
-    hasher = attach_hasher(eng.sim)
-    if sanitize:
-        install_consistency_checks(eng)
-    eng.run()
-    return summarize(eng), hasher.hexdigest()
+    run = simulate(config, engine, hash_events=True, sanitize=sanitize)
+    assert run.event_digest is not None
+    return run.result, run.event_digest

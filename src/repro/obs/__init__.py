@@ -45,7 +45,7 @@ from repro.obs.convergence import (
     detect_convergence,
 )
 from repro.obs.profile import PhaseTimers
-from repro.obs.record import record_run, record_run_dir
+from repro.obs.record import record_run
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import render_report, write_report
 from repro.obs.topology import (
@@ -59,7 +59,6 @@ from repro.obs.trace import (
     NullTracer,
     TraceEvent,
     Tracer,
-    trace_env_path,
 )
 
 __all__ = [
@@ -76,10 +75,8 @@ __all__ = [
     "convergence_from_metrics",
     "detect_convergence",
     "record_run",
-    "record_run_dir",
     "render_report",
     "to_chrome",
-    "trace_env_path",
     "validate_chrome",
     "walk_overlay",
     "write_chrome",

@@ -55,41 +55,29 @@ def summarize_events(events: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
 
 def _cmd_record(args: argparse.Namespace) -> int:
     from repro.experiments.common import preset_config
-    from repro.obs.record import record_run, record_run_dir
+    from repro.obs.record import record_run
 
     config = preset_config(args.preset, seed=args.seed)
     config = config.as_static() if args.scheme == "static" else config.as_dynamic()
-    if args.record_dir is not None:
-        summary = record_run_dir(
-            config,
-            args.record_dir,
-            args.engine,
-            hash_events=not args.no_digest,
-            topology_interval=args.topology_interval,
-            telemetry_port=args.telemetry_port,
-            access_log=args.access_log,
-            access_log_sample=args.access_log_sample,
-        )
-        summary["record_dir"] = str(args.record_dir)
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
     recorded = record_run(
         config,
         args.engine,
+        record_dir=args.record_dir,
         hash_events=not args.no_digest,
         topology_interval=args.topology_interval,
         telemetry_port=args.telemetry_port,
         access_log=args.access_log,
         access_log_sample=args.access_log_sample,
     )
-    out = recorded.tracer.write_jsonl(args.out)
     report: dict[str, Any] = recorded.summary()
-    report["jsonl"] = str(out)
-    if args.chrome is not None:
-        chrome_path = write_chrome(recorded.tracer.events, args.chrome)
-        report["chrome"] = str(chrome_path)
-    if args.metrics:
-        report["metrics"] = recorded.registry.snapshot()
+    if args.record_dir is not None:
+        report["record_dir"] = str(args.record_dir)
+    else:
+        report["jsonl"] = str(recorded.tracer.write_jsonl(args.out))
+        if args.chrome is not None:
+            report["chrome"] = str(write_chrome(recorded.tracer.events, args.chrome))
+        if args.metrics:
+            report["metrics"] = recorded.registry.snapshot()
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

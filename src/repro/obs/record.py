@@ -7,7 +7,7 @@ as a digest-equality check against untraced runs), bind its metrics into a
 :class:`~repro.obs.topology.TopologySnapshotter`, and time the setup / run /
 teardown phases.
 
-:func:`record_run_dir` is the durable variant: it lays one run out as a
+With ``record_dir`` set, :func:`record_run` also lays the run out as a
 *record directory* — ``trace.jsonl``, ``topology.jsonl``, ``metrics.json``,
 ``summary.json`` — which is the input format of ``repro-report``
 (:mod:`repro.obs.report`). The trace and topology streams are flushed even
@@ -17,6 +17,7 @@ when the engine crashes mid-run, so a partial record still parses.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -34,8 +35,9 @@ from repro.obs.trace import Tracer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gnutella.config import GnutellaConfig
     from repro.gnutella.simulation import SimulationResult
+    from repro.lint.sanitize import EventStreamHasher
 
-__all__ = ["RecordedRun", "record_run", "record_run_dir"]
+__all__ = ["RecordedRun", "record_run"]
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,7 @@ class RecordedRun:
     """Everything one traced run produced."""
 
     result: "SimulationResult"
+    engine: str
     tracer: Tracer
     registry: MetricsRegistry
     timers: PhaseTimers
@@ -51,77 +54,80 @@ class RecordedRun:
     topology: TopologySnapshotter | None = None
     #: Bound exposition-sidecar port when ``telemetry_port`` was requested.
     telemetry_port: int | None = None
+    #: Where the access log went, when access logging was enabled.
+    access_log: Path | None = None
     #: Access-log lines written when access logging was enabled.
     access_log_lines: int | None = None
+    #: The record directory the run was laid out in, if any.
+    record_dir: Path | None = None
+
+    def _files(self) -> list[str]:
+        """What the run wrote, relative to ``record_dir`` where inside it."""
+        files: list[str] = []
+        if self.record_dir is not None:
+            files += ["summary.json", "metrics.json", "trace.jsonl"]
+            if self.topology is not None:
+                files.append("topology.jsonl")
+        log = self.access_log
+        if log is not None:
+            if self.record_dir is not None and log.is_relative_to(self.record_dir):
+                log = log.relative_to(self.record_dir)
+            files.append(str(log))
+        return sorted(files)
 
     def summary(self) -> dict[str, Any]:
-        """Headline numbers for reporting: trace, phases, run outcome."""
-        metrics = self.result.metrics
-        out: dict[str, Any] = {
+        """The run's headline document — what ``summary.json`` holds.
+
+        Config, outcome, convergence report, trace counts, phase timings,
+        telemetry, and the hourly series the report charts are drawn from.
+        """
+        from repro.analysis.export import result_to_jsonable
+
+        result = self.result
+        metrics = result.metrics
+        hours, recall = metrics.recall_series(0)
+        _, hits = metrics.hits_series(0)
+        _, queries = metrics.queries.series(skip=0)
+        _, messages = metrics.messages_series(0)
+        _, reconfigs = metrics.reconfigurations_series(0)
+        return {
+            "engine": self.engine,
+            "config": result_to_jsonable(result.config),
+            "event_digest": self.event_digest,
             "trace": self.tracer.summary(),
             "phases": self.timers.as_dict(),
-            "event_digest": self.event_digest,
             "run": {
-                "scheme": self.result.scheme,
+                "scheme": result.scheme,
                 "total_queries": metrics.total_queries,
                 "total_hits": metrics.total_hits,
                 "hit_rate": metrics.hit_rate(),
+                "taste_clustering": result.taste_clustering,
+                "mean_degree": result.mean_degree,
+                "reconfigurations": metrics.reconfigurations,
             },
-            "convergence": self.result.convergence,
+            "convergence": result.convergence,
+            "telemetry": {
+                "port": self.telemetry_port,
+                "access_log": None if self.access_log is None else str(self.access_log),
+                "access_log_lines": self.access_log_lines,
+            },
+            "series": {
+                "hours": [int(h) for h in hours],
+                "hits": [int(v) for v in hits],
+                "queries": [int(v) for v in queries],
+                "messages": [int(v) for v in messages],
+                "reconfigs": [int(v) for v in reconfigs],
+                "recall": [float(v) for v in recall],
+            },
+            "files": self._files(),
         }
-        if self.topology is not None:
-            out["topology_snapshots"] = len(self.topology.snapshots)
-        if self.telemetry_port is not None:
-            out["telemetry_port"] = self.telemetry_port
-        if self.access_log_lines is not None:
-            out["access_log_lines"] = self.access_log_lines
-        return out
-
-
-def _build_recorder(
-    config: "GnutellaConfig",
-    engine: str,
-    tracer: Tracer | None,
-    topology_interval: float | None,
-    registry: MetricsRegistry | None = None,
-) -> tuple[Any, Tracer, MetricsRegistry, PhaseTimers, TopologySnapshotter | None]:
-    """Shared setup: engine + tracer + registry + timers (+ snapshotter)."""
-    from repro.gnutella.simulation import build_engine
-
-    trace = tracer if tracer is not None else Tracer()
-    registry = registry if registry is not None else MetricsRegistry()
-    timers = PhaseTimers()
-    with timers.phase("engine.setup"):
-        eng = build_engine(config, engine, trace=trace)
-    bind_simulation_metrics(registry, eng.metrics)
-    snapshotter = None
-    if topology_interval is not None:
-        snapshotter = TopologySnapshotter(eng, topology_interval, registry)
-    return eng, trace, registry, timers, snapshotter
-
-
-def _live_tracer(
-    registry: MetricsRegistry,
-    access_log: str | Path | None,
-    access_log_sample: float,
-) -> tuple[LiveTelemetry, AccessLogger | None]:
-    """A telemetry-feeding tracer (rolling windows over simulated seconds)."""
-    logger = (
-        AccessLogger(access_log, sample=access_log_sample)
-        if access_log is not None
-        else None
-    )
-    tracer = LiveTelemetry(
-        registry, rolling=RollingTelemetry(), access_log=logger
-    )
-    return tracer, logger
 
 
 def record_run(
     config: "GnutellaConfig",
     engine: str = "fast",
     *,
-    tracer: Tracer | None = None,
+    record_dir: str | Path | None = None,
     hash_events: bool = True,
     topology_interval: float | None = None,
     telemetry_port: int | None = None,
@@ -144,182 +150,89 @@ def record_run(
     sidecar for the duration of the run (0 = ephemeral; the bound port is
     on the returned record); ``access_log`` writes sampled structured
     access-log lines derived from query spans. Either option upgrades the
-    default tracer to :class:`~repro.obs.telemetry.live.LiveTelemetry` —
-    still pure observation, so the digest guarantee holds unchanged.
-    """
-    from repro.gnutella.simulation import summarize
+    tracer to :class:`~repro.obs.telemetry.live.LiveTelemetry` — still pure
+    observation, so the digest guarantee holds unchanged.
 
-    registry = MetricsRegistry()
-    logger: AccessLogger | None = None
-    if tracer is None and (telemetry_port is not None or access_log is not None):
-        tracer, logger = _live_tracer(registry, access_log, access_log_sample)
-    eng, trace, registry, timers, snapshotter = _build_recorder(
-        config, engine, tracer, topology_interval, registry
-    )
-    digest = None
-    if hash_events:
-        from repro.lint.sanitize import attach_hasher
-
-        hasher = attach_hasher(eng.sim)
-    sidecar: TelemetrySidecar | None = None
-    bound_port: int | None = None
-    if telemetry_port is not None:
-        sidecar = TelemetrySidecar(
-            lambda: render_prometheus(registry.snapshot()), port=telemetry_port
-        )
-        bound_port = sidecar.start()
-    try:
-        with timers.phase("engine.run"):
-            eng.run()
-    finally:
-        if sidecar is not None:
-            sidecar.stop()
-        if logger is not None:
-            logger.flush()
-    if hash_events:
-        digest = hasher.hexdigest()
-    with timers.phase("engine.teardown"):
-        result = summarize(eng)
-    if logger is not None:
-        logger.close()
-    return RecordedRun(
-        result=result,
-        tracer=trace,
-        registry=registry,
-        timers=timers,
-        event_digest=digest,
-        topology=snapshotter,
-        telemetry_port=bound_port,
-        access_log_lines=logger.written if logger is not None else None,
-    )
-
-
-def record_run_dir(
-    config: "GnutellaConfig",
-    out_dir: str | Path,
-    engine: str = "fast",
-    *,
-    hash_events: bool = True,
-    topology_interval: float | None = None,
-    telemetry_port: int | None = None,
-    access_log: str | Path | None = None,
-    access_log_sample: float = 1.0,
-) -> dict[str, Any]:
-    """Run one recorded simulation and lay it out as a record directory.
-
-    Writes into ``out_dir``:
+    ``record_dir`` lays the run out as a record directory:
 
     * ``trace.jsonl`` — the full event trace (flushed even on a mid-run
       crash, so a partial record still parses line by line);
     * ``topology.jsonl`` — one overlay snapshot per line (when
-      ``topology_interval`` is set);
+      ``topology_interval`` is set; also written on a crash);
     * ``metrics.json`` — the metrics-registry snapshot;
-    * ``summary.json`` — config, headline outcome, convergence report,
-      phase timings, and the hourly series the report charts are drawn
-      from;
-    * ``access.jsonl`` — sampled structured access-log lines (when
-      ``access_log`` is set; relative paths land inside ``out_dir``).
+    * ``summary.json`` — :meth:`RecordedRun.summary`;
+    * the access log, when set (relative paths land inside the directory).
 
-    ``telemetry_port`` additionally serves live exposition from an HTTP
-    sidecar while the run executes (0 = ephemeral).
-
-    Returns the ``summary.json`` document (with a ``files`` block naming
-    what was written). This directory is what ``repro-report`` renders.
+    This directory is what ``repro-report`` renders.
     """
-    from repro.analysis.export import result_to_jsonable
-    from repro.gnutella.simulation import summarize
+    from repro.gnutella.simulation import build_engine, summarize
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(record_dir) if record_dir is not None else None
+    access_path = Path(access_log) if access_log is not None else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        if access_path is not None and not access_path.is_absolute():
+            access_path = out / access_path
     registry = MetricsRegistry()
-    tracer: Tracer | None = None
     logger: AccessLogger | None = None
-    access_path: Path | None = None
-    if telemetry_port is not None or access_log is not None:
-        if access_log is not None:
-            access_path = Path(access_log)
-            if not access_path.is_absolute():
-                access_path = out / access_path
-        tracer, logger = _live_tracer(registry, access_path, access_log_sample)
-    eng, trace, registry, timers, snapshotter = _build_recorder(
-        config, engine, tracer, topology_interval, registry
-    )
-    digest = None
-    if hash_events:
-        from repro.lint.sanitize import attach_hasher
-
-        hasher = attach_hasher(eng.sim)
+    tracer: Tracer
+    if telemetry_port is not None or access_path is not None:
+        if access_path is not None:
+            logger = AccessLogger(access_path, sample=access_log_sample)
+        tracer = LiveTelemetry(registry, rolling=RollingTelemetry(), access_log=logger)
+    else:
+        tracer = Tracer()
+    timers = PhaseTimers()
+    snapshotter: TopologySnapshotter | None = None
+    hasher: EventStreamHasher | None = None
     sidecar: TelemetrySidecar | None = None
     bound_port: int | None = None
-    if telemetry_port is not None:
-        sidecar = TelemetrySidecar(
-            lambda: render_prometheus(registry.snapshot()), port=telemetry_port
-        )
-        bound_port = sidecar.start()
     try:
-        with timers.phase("engine.run"), trace.flushed(out / "trace.jsonl"):
+        with timers.phase("engine.setup"):
+            eng = build_engine(config, engine, trace=tracer)
+        bind_simulation_metrics(registry, eng.metrics)
+        if topology_interval is not None:
+            snapshotter = TopologySnapshotter(eng, topology_interval, registry)
+        if hash_events:
+            from repro.lint.sanitize import attach_hasher
+
+            hasher = attach_hasher(eng.sim)
+        if telemetry_port is not None:
+            sidecar = TelemetrySidecar(
+                lambda: render_prometheus(registry.snapshot()), port=telemetry_port
+            )
+            bound_port = sidecar.start()
+        flushed = tracer.flushed(out / "trace.jsonl") if out is not None else nullcontext()
+        with timers.phase("engine.run"), flushed:
             eng.run()
     finally:
         # Crash-safe like the trace: whatever snapshots exist are written.
-        if snapshotter is not None:
+        if snapshotter is not None and out is not None:
             snapshotter.write_jsonl(out / "topology.jsonl")
         if sidecar is not None:
             sidecar.stop()
         if logger is not None:
             logger.close()
-    if hash_events:
-        digest = hasher.hexdigest()
     with timers.phase("engine.teardown"):
         result = summarize(eng)
-    metrics = result.metrics
-    hours, recall = metrics.recall_series(0)
-    _, hits = metrics.hits_series(0)
-    _, queries = metrics.queries.series(skip=0)
-    _, messages = metrics.messages_series(0)
-    _, reconfigs = metrics.reconfigurations_series(0)
-    files = ["summary.json", "metrics.json", "trace.jsonl"]
-    if snapshotter is not None:
-        files.append("topology.jsonl")
-    if access_path is not None:
-        try:
-            files.append(str(access_path.relative_to(out)))
-        except ValueError:
-            files.append(str(access_path))
-    summary: dict[str, Any] = {
-        "engine": engine,
-        "config": result_to_jsonable(config),
-        "event_digest": digest,
-        "trace": trace.summary(),
-        "phases": timers.as_dict(),
-        "run": {
-            "scheme": result.scheme,
-            "total_queries": metrics.total_queries,
-            "total_hits": metrics.total_hits,
-            "hit_rate": metrics.hit_rate(),
-            "taste_clustering": result.taste_clustering,
-            "mean_degree": result.mean_degree,
-            "reconfigurations": metrics.reconfigurations,
-        },
-        "convergence": result.convergence,
-        "telemetry": {
-            "port": bound_port,
-            "access_log": str(access_path) if access_path is not None else None,
-            "access_log_lines": logger.written if logger is not None else None,
-        },
-        "series": {
-            "hours": [int(h) for h in hours],
-            "hits": [int(v) for v in hits],
-            "queries": [int(v) for v in queries],
-            "messages": [int(v) for v in messages],
-            "reconfigs": [int(v) for v in reconfigs],
-            "recall": [float(v) for v in recall],
-        },
-        "files": sorted(files),
-    }
-    (out / "metrics.json").write_text(
-        json.dumps(registry.snapshot(), indent=2, sort_keys=True), encoding="utf-8"
+    recorded = RecordedRun(
+        result=result,
+        engine=engine,
+        tracer=tracer,
+        registry=registry,
+        timers=timers,
+        event_digest=hasher.hexdigest() if hasher is not None else None,
+        topology=snapshotter,
+        telemetry_port=bound_port,
+        access_log=access_path,
+        access_log_lines=logger.written if logger is not None else None,
+        record_dir=out,
     )
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
-    )
-    return summary
+    if out is not None:
+        (out / "metrics.json").write_text(
+            json.dumps(registry.snapshot(), indent=2, sort_keys=True), encoding="utf-8"
+        )
+        (out / "summary.json").write_text(
+            json.dumps(recorded.summary(), indent=2, sort_keys=True), encoding="utf-8"
+        )
+    return recorded

@@ -2,11 +2,12 @@
 
 Takes either a *record directory* (the ``trace.jsonl`` / ``topology.jsonl``
 / ``metrics.json`` / ``summary.json`` layout written by
-:func:`repro.obs.record.record_run_dir`) or an orchestrate run-manifest
-JSON, and renders a single HTML file with **inline SVG charts and no
-external assets** — no scripts, no stylesheets, no fonts, no URLs — so the
-file can be archived next to the run artifacts and opened anywhere, forever
-(CI greps the output for ``http://``/``https://`` to keep it that way).
+:func:`repro.obs.record.record_run` with ``record_dir`` set) or an
+orchestrate run-manifest JSON, and renders a single HTML file with
+**inline SVG charts and no external assets** — no scripts, no
+stylesheets, no fonts, no URLs — so the file can be archived next to the
+run artifacts and opened anywhere, forever (CI greps the output for
+``http://``/``https://`` to keep it that way).
 
 A record-directory report shows recall-vs-time, query traffic, the
 reconfiguration rate with the detected convergence point marked, the
@@ -365,7 +366,7 @@ def _render_record(record_dir: Path) -> str:
     if not summary_path.is_file():
         raise ConfigurationError(
             f"{record_dir} is not a record directory (no summary.json); "
-            "produce one with record_run_dir / repro-trace record --record-dir"
+            "produce one with repro-trace record --record-dir"
         )
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     run = summary.get("run", {})

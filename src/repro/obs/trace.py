@@ -29,7 +29,6 @@ is what keeps traced and untraced event-stream digests bit-identical
 from __future__ import annotations
 
 import json
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,19 +44,11 @@ __all__ = [
     "PID_QUERY",
     "PID_SERVE",
     "PROCESS_NAMES",
-    "TRACE_ENV",
     "TraceEvent",
     "Tracer",
     "emit_flood_query",
     "read_jsonl",
-    "trace_env_path",
 ]
-
-#: Environment variable enabling tracing for every simulation run. Its value
-#: is the JSONL output path; the bare switches ``1/true/on/yes`` mean
-#: "enabled, default path" (``repro-trace.jsonl`` in the cwd).
-TRACE_ENV = "REPRO_TRACE"
-_DEFAULT_TRACE_PATH = "repro-trace.jsonl"
 
 #: Trace-event process lanes: one pid per event family so viewers group
 #: query spans, protocol actions, and churn into separate track groups.
@@ -74,16 +65,6 @@ PROCESS_NAMES: dict[int, str] = {
 
 #: Seconds -> trace microseconds (the Chrome trace-event time unit).
 US = 1e6
-
-
-def trace_env_path() -> str | None:
-    """The trace output path ``REPRO_TRACE`` requests, or ``None`` if unset."""
-    raw = os.environ.get(TRACE_ENV, "").strip()
-    if not raw or raw.lower() in {"0", "false", "off", "no"}:
-        return None
-    if raw.lower() in {"1", "true", "on", "yes"}:
-        return _DEFAULT_TRACE_PATH
-    return raw
 
 
 @dataclass(frozen=True, slots=True)

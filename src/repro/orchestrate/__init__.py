@@ -17,8 +17,8 @@ the execution layer between the two:
   its own :class:`~repro.rng.RngStreams` from its config;
 * :mod:`.manifest` records what ran (tasks, digests, timings, cache hits)
   as a JSON document next to the results;
-* :mod:`.cli` is the ``repro-orchestrate`` entry point; ``repro-experiments``
-  routes its ``--jobs`` / ``--cache-dir`` flags through the same machinery.
+* :mod:`.cli` is the ``repro-experiments`` entry point (also
+  ``python -m repro.experiments``), the one parser for every figure run.
 """
 
 from repro.orchestrate.cache import ResultCache, code_fingerprint, task_key

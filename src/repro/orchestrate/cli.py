@@ -1,15 +1,17 @@
-"""Command-line entry point: run a declarative experiment grid.
+"""Command-line entry point: regenerate the paper's figures over a grid.
 
 Usage::
 
-    repro-orchestrate --figures fig1,fig3b --preset smoke --seeds 0-3 --jobs 4
-    repro-orchestrate --figures all --preset paper --jobs 8 \\
+    repro-experiments fig1 --preset scaled --seed 0
+    repro-experiments fig1,fig3b --preset smoke --seed 0-3 --jobs 4
+    repro-experiments all --preset paper --jobs 8 \\
         --cache-dir .repro-cache --manifest runs/paper.json
-    python -m repro.orchestrate --figures replicate --seeds 0 --replicates 10
+    python -m repro.experiments replicate --seed 0 --replicates 10
 
-``repro-experiments`` covers the common single-figure cases; this CLI is
-the full grid surface (multiple figures × multiple seeds × config
-overrides), with the same cache and manifest machinery underneath.
+One parser for every figure run: a (figure x preset x seed x overrides)
+grid expanded into simulation tasks, deduplicated by content, fanned out
+over ``--jobs`` worker processes and memoized in a content-addressed
+result cache, with an optional JSON run manifest.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ def default_cache_dir() -> Path:
 def parse_figures(spec: str) -> tuple[str, ...]:
     """``"fig1,fig3b"`` → figure names; ``"all"`` → every paper figure.
 
-    ``all`` matches ``repro-experiments all``: the four figures, with
-    ``replicate`` staying opt-in.
+    ``all`` is the four paper figures; ``replicate`` stays opt-in.
     """
     if spec == "all":
         return tuple(name for name in FIGURES if name != "replicate")
@@ -112,18 +113,19 @@ def parse_overrides(pairs: Sequence[str]) -> dict[str, Any]:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
-        prog="repro-orchestrate",
+        prog="repro-experiments",
         description=(
-            "Expand a (figure x preset x seed x overrides) grid into "
-            "simulation tasks, run them in parallel with content-addressed "
-            "result caching, and write a run manifest."
+            "Regenerate the evaluation figures of Bakiras et al., 'A General "
+            "Framework for Searching in Distributed Data Repositories' "
+            "(IPDPS 2003): expand a (figure x preset x seed x overrides) grid "
+            "into simulation tasks, run them in parallel with content-addressed "
+            "result caching, and optionally write a run manifest."
         ),
     )
     parser.add_argument(
-        "--figures",
-        default="all",
+        "figures",
         help="comma-separated figure names (fig1,fig2,fig3a,fig3b,replicate) "
-        "or 'all' (default; excludes replicate)",
+        "or 'all' (every paper figure; excludes replicate)",
     )
     parser.add_argument(
         "--preset",
@@ -131,9 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="world size: paper, scaled (default), smoke",
     )
     parser.add_argument(
-        "--seeds",
+        "--seed",
         default="0",
-        help="root seeds: comma list and/or ranges, e.g. '0,1' or '0-3' (default 0)",
+        help="root seeds: one seed, a comma list and/or ranges, e.g. '0', "
+        "'0,1' or '0-3' (default 0)",
     )
     parser.add_argument(
         "--jobs",
@@ -200,7 +203,7 @@ def grid_metadata(args: argparse.Namespace, overrides: Mapping[str, Any]) -> dic
     return {
         "figures": list(parse_figures(args.figures)),
         "preset": args.preset,
-        "seeds": list(parse_seeds(args.seeds)),
+        "seeds": list(parse_seeds(args.seed)),
         "replicates": args.replicates,
         "overrides": dict(overrides),
     }
@@ -242,7 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         figures = parse_figures(args.figures)
-        seeds = parse_seeds(args.seeds)
+        seeds = parse_seeds(args.seed)
         overrides = parse_overrides(args.overrides)
         jobs = expand_grid(
             figures,

@@ -1,7 +1,7 @@
 """Task execution: cache lookups plus process-pool fan-out.
 
 Every task is an independent simulation — its configuration carries its own
-root seed, and :func:`repro.gnutella.simulation.simulate_task` derives every
+root seed, and :func:`repro.gnutella.simulation.simulate` derives every
 RNG stream from that seed — so executing tasks in parallel produces results
 bit-identical to a serial run. The only ordering this module imposes is on
 *bookkeeping*: records come back in task order regardless of completion
@@ -25,7 +25,7 @@ from repro.analysis.export import canonical_json, result_to_jsonable
 from repro.errors import ConfigurationError
 from repro.experiments.common import SimRequest
 from repro.gnutella.config import GnutellaConfig
-from repro.gnutella.simulation import SimulationResult, simulate_profiled
+from repro.gnutella.simulation import SimulationResult, simulate
 from repro.obs.registry import MetricsRegistry, bind_simulation_metrics
 from repro.orchestrate.cache import ResultCache, task_key
 
@@ -172,11 +172,9 @@ def _execute(
 ) -> tuple[SimulationResult, str | None, float, dict, dict]:
     """Worker body: run one simulation, timed and phase-profiled (in the child)."""
     started = time.perf_counter()
-    result, event_digest, phases = simulate_profiled(
-        config, engine, hash_events=hash_events
-    )
+    run = simulate(config, engine, hash_events=hash_events)
     elapsed = time.perf_counter() - started
-    return result, event_digest, elapsed, phases, task_metrics_snapshot(result)
+    return run.result, run.event_digest, elapsed, run.phases, task_metrics_snapshot(run.result)
 
 
 def run_tasks(

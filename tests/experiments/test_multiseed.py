@@ -54,13 +54,13 @@ class TestRun:
 
 class TestCliIntegration:
     def test_replicate_figure_choice(self):
-        from repro.experiments.runner import build_parser
+        from repro.orchestrate.cli import build_parser
 
         args = build_parser().parse_args(["replicate", "--preset", "smoke"])
-        assert args.figure == "replicate"
+        assert args.figures == "replicate"
 
     def test_json_flag(self, tmp_path, capsys):
-        from repro.experiments.runner import main
+        from repro.orchestrate.cli import main
 
         target = tmp_path / "fig1.json"
         assert main(["fig1", "--preset", "smoke", "--json", str(target)]) == 0
@@ -68,7 +68,7 @@ class TestCliIntegration:
         assert "json written" in capsys.readouterr().out
 
     def test_all_excludes_replicate(self, capsys):
-        from repro.experiments.runner import main
+        from repro.orchestrate.cli import main
 
         assert main(["all", "--preset", "smoke"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Tests for the figure runners and the CLI (smoke scale)."""
+"""Tests for the figure runners (smoke scale)."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.analysis import compare_runs
 from repro.errors import ConfigurationError
 from repro.experiments import figure1, figure2, figure3a, figure3b, preset_config
 from repro.experiments.common import PRESETS, paired_run
-from repro.experiments.runner import build_parser, main
 
 
 class TestPresets:
@@ -99,82 +98,3 @@ class TestFigure3b:
         figure3b.print_report(r)
         assert "static baseline hits" in capsys.readouterr().out
 
-
-class TestCli:
-    def test_parser_choices(self):
-        parser = build_parser()
-        args = parser.parse_args(["fig1", "--preset", "smoke", "--seed", "3"])
-        assert args.figure == "fig1"
-        assert args.preset == "smoke"
-        assert args.seed == 3
-        assert args.jobs == 1
-        assert args.replicates == 5
-        assert not args.no_cache
-
-    def test_main_runs_single_figure(self, capsys):
-        code = main(["fig1", "--preset", "smoke", "--no-cache"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Figure 1" in out
-        assert "completed in" in out
-
-    def test_main_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            main(["fig9"])
-
-    def test_main_uses_cache_dir(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        argv = ["fig1", "--preset", "smoke", "--cache-dir", str(cache_dir)]
-        assert main(argv) == 0
-        stored = list(cache_dir.glob("*/*.pkl"))
-        assert len(stored) == 2  # the static/dynamic pair was memoized
-        capsys.readouterr()
-        # Re-running the same figure is served entirely from the cache.
-        assert main(argv) == 0
-        assert "Figure 1" in capsys.readouterr().out
-        assert len(list(cache_dir.glob("*/*.pkl"))) == 2
-
-    def test_replicates_flag_sets_seed_count(self, capsys):
-        code = main(
-            ["replicate", "--preset", "smoke", "--replicates", "3", "--no-cache"]
-        )
-        assert code == 0
-        assert "replication across 3 seeds" in capsys.readouterr().out
-
-    def test_manifest_written(self, tmp_path, capsys):
-        import json
-
-        manifest_path = tmp_path / "manifest.json"
-        code = main(
-            [
-                "fig1",
-                "--preset",
-                "smoke",
-                "--no-cache",
-                "--manifest",
-                str(manifest_path),
-            ]
-        )
-        assert code == 0
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["grid"]["figures"] == ["fig1"]
-        assert manifest["cache"]["enabled"] is False
-        assert len(manifest["tasks"]) == 2
-
-    def test_failed_figure_reports_nonzero_without_crashing(
-        self, monkeypatch, capsys
-    ):
-        """One broken figure must not abort the rest of an 'all' run."""
-        from repro.experiments import figure1
-
-        def explode(results, **kwargs):
-            raise RuntimeError("panel machinery broke")
-
-        monkeypatch.setattr(figure1, "assemble", explode)
-        code = main(["all", "--preset", "smoke", "--no-cache"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "fig1 FAILED" in captured.err
-        assert "panel machinery broke" in captured.err
-        # The sibling figures still rendered their reports.
-        assert "Figure 3(b)" in captured.out or "static baseline hits" in captured.out

@@ -1,13 +1,12 @@
-"""End-to-end coverage of the REPRO_TRACE / REPRO_SANITIZE environment
-hooks through :func:`run_simulation`: each alone, both together, and the
-precedence of explicit arguments over the environment."""
+"""End-to-end coverage of the REPRO_SANITIZE environment hook: through
+:func:`run_simulation`, the precedence of an explicit argument over the
+environment, and every task a figure run executes."""
 
 import pytest
 
 import repro.lint.sanitize as sanitize_mod
 from repro.gnutella.config import GnutellaConfig
 from repro.gnutella.simulation import run_simulation
-from repro.obs.trace import Tracer, read_jsonl
 
 HOUR = 3600.0
 
@@ -22,7 +21,6 @@ def _config(**overrides):
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
 
@@ -39,23 +37,6 @@ def _spy_installer(monkeypatch):
     return calls
 
 
-def test_repro_trace_env_writes_jsonl(tmp_path, monkeypatch):
-    trace_path = tmp_path / "env-trace.jsonl"
-    monkeypatch.setenv("REPRO_TRACE", str(trace_path))
-    result = run_simulation(_config())
-    assert result.metrics.total_queries > 0
-    events = read_jsonl(trace_path)
-    assert len(events) > 0
-    assert {ev["cat"] for ev in events} >= {"query"}
-
-
-def test_repro_trace_env_off_values_disable(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("REPRO_TRACE", "off")
-    run_simulation(_config())
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_repro_sanitize_env_installs_checks(monkeypatch):
     calls = _spy_installer(monkeypatch)
     run_simulation(_config())
@@ -65,27 +46,6 @@ def test_repro_sanitize_env_installs_checks(monkeypatch):
     assert len(calls) == 1
 
 
-def test_both_env_hooks_compose(tmp_path, monkeypatch):
-    trace_path = tmp_path / "both.jsonl"
-    monkeypatch.setenv("REPRO_TRACE", str(trace_path))
-    monkeypatch.setenv("REPRO_SANITIZE", "true")
-    calls = _spy_installer(monkeypatch)
-    result = run_simulation(_config())
-    assert len(calls) == 1  # sanitizer installed ...
-    assert len(read_jsonl(trace_path)) > 0  # ... and the trace written
-    assert result.convergence is not None
-
-
-def test_explicit_trace_argument_beats_env(tmp_path, monkeypatch):
-    """A caller-supplied tracer wins: the env path must NOT be written."""
-    env_path = tmp_path / "should-not-exist.jsonl"
-    monkeypatch.setenv("REPRO_TRACE", str(env_path))
-    tracer = Tracer()
-    run_simulation(_config(), trace=tracer)
-    assert len(tracer.events) > 0
-    assert not env_path.exists()
-
-
 def test_explicit_sanitize_argument_beats_env(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     calls = _spy_installer(monkeypatch)
@@ -93,13 +53,28 @@ def test_explicit_sanitize_argument_beats_env(monkeypatch):
     assert calls == []
 
 
-def test_env_hooks_preserve_results(monkeypatch, tmp_path):
-    """Observation hooks must not move the simulation itself."""
+def test_env_hooks_preserve_results(monkeypatch):
+    """The sanitizer only observes: it must not move the simulation."""
     config = _config()
     plain = run_simulation(config)
-    monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.jsonl"))
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     hooked = run_simulation(config)
     assert hooked.metrics.total_queries == plain.metrics.total_queries
     assert hooked.metrics.total_hits == plain.metrics.total_hits
     assert hooked.convergence == plain.convergence
+
+
+def test_repro_sanitize_reaches_figure_runs(monkeypatch, tmp_path, capsys):
+    """Every executed figure task is sanitized; cache hits execute nothing."""
+    from repro.orchestrate.cli import main
+
+    calls = _spy_installer(monkeypatch)
+    cached = ["fig1", "--preset", "smoke", "--cache-dir", str(tmp_path / "cache")]
+    assert main(cached) == 0
+    assert calls == []  # unset: no checks on either run of the pair
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    assert main(cached) == 0
+    assert calls == []  # both tasks served from the cache
+    assert main(["fig1", "--preset", "smoke", "--no-cache"]) == 0
+    assert len(calls) == 2  # the static and the dynamic run
+    capsys.readouterr()

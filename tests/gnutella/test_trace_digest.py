@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gnutella.config import GnutellaConfig
-from repro.gnutella.simulation import build_engine, simulate_task
+from repro.gnutella.simulation import build_engine, simulate
 from repro.obs.chrome import to_chrome, validate_chrome
 from repro.obs.record import record_run
 from repro.obs.trace import Tracer
@@ -27,7 +27,7 @@ def _config(**overrides) -> GnutellaConfig:
 @pytest.mark.parametrize("engine", ["fast", "fast-reference", "detailed"])
 def test_traced_run_digest_matches_untraced(engine):
     config = _config(n_users=25, n_items=1000, horizon=2 * 3600.0)
-    _, untraced = simulate_task(config, engine, hash_events=True)
+    untraced = simulate(config, engine, hash_events=True).event_digest
     recorded = record_run(config, engine)
     assert recorded.event_digest == untraced
     assert len(recorded.tracer.events) > 0
@@ -93,24 +93,13 @@ def test_record_run_profiles_phases_and_binds_metrics():
     assert summary["event_digest"] == recorded.event_digest
 
 
-def test_trace_env_variable_writes_jsonl(tmp_path, monkeypatch):
-    from repro.gnutella.simulation import run_simulation
-    from repro.obs.trace import TRACE_ENV, read_jsonl
-
-    out = tmp_path / "env-trace.jsonl"
-    monkeypatch.setenv(TRACE_ENV, str(out))
-    run_simulation(_config(n_users=20, n_items=500, horizon=3600.0), "fast")
-    events = read_jsonl(out)
-    assert events and any(ev["name"] == "query" for ev in events)
-
-
 @pytest.mark.parametrize("engine", ["fast", "fast-reference", "detailed"])
 def test_snapshotted_run_digest_matches_plain(engine):
     """The topology snapshotter is pure observation: a snapshotted run's
     event-stream digest is bit-identical to a plain run's, on every
     engine."""
     config = _config(n_users=25, n_items=1000, horizon=2 * 3600.0)
-    _, plain = simulate_task(config, engine, hash_events=True)
+    plain = simulate(config, engine, hash_events=True).event_digest
     recorded = record_run(config, engine, topology_interval=3600.0)
     assert recorded.event_digest == plain
     assert recorded.topology is not None

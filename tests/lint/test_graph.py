@@ -15,19 +15,24 @@ from repro.lint.graph import (
 from repro.lint.model import ModuleContext
 
 PROJECT = Path(__file__).parent / "fixtures" / "project"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def fixture_index() -> ProjectIndex:
+def tree_index(root: Path) -> ProjectIndex:
     contexts = []
-    for path in sorted(PROJECT.rglob("*.py")):
-        rel = path.relative_to(PROJECT).with_suffix("")
-        module = ".".join(rel.parts)
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).with_suffix("")
+        module = ".".join(rel.parts).removesuffix(".__init__")
         contexts.append(
             ModuleContext(
                 path=str(path), module=module, tree=ast.parse(path.read_text())
             )
         )
     return build_index(contexts)
+
+
+def fixture_index() -> ProjectIndex:
+    return tree_index(PROJECT)
 
 
 def test_index_records_functions_classes_and_imports():
@@ -53,6 +58,23 @@ def test_index_records_observers_and_entrypoints():
     }
     runner = index.by_module("repro.fixpool.runner")
     assert runner.entrypoints == ("simulate_task",)
+
+
+def test_real_pool_entry_is_found_through_executor_submit():
+    """R007 must still see the real pool worker: no function in the package
+    carries the entry-point name, so the ``executor.submit`` call form is
+    what finds it."""
+    index = tree_index(SRC)
+    pool = index.by_module("repro.orchestrate.pool")
+    assert pool is not None
+    assert pool.entrypoints == ("_execute",)
+    named = [
+        (record.module, qualname)
+        for record in index.modules.values()
+        for qualname, fn in record.functions.items()
+        if fn.name == "simulate_task"
+    ]
+    assert named == []
 
 
 def test_index_records_module_mutables_and_mutations():

@@ -12,8 +12,8 @@ import urllib.request
 import pytest
 
 from repro.gnutella.config import GnutellaConfig
-from repro.gnutella.simulation import simulate_task
-from repro.obs.record import record_run, record_run_dir
+from repro.gnutella.simulation import simulate
+from repro.obs.record import record_run
 from repro.obs.telemetry.accesslog import ACCESS_LOG_SCHEMA
 from repro.obs.telemetry.exposition import parse_prometheus
 
@@ -33,7 +33,7 @@ def _config(**overrides) -> GnutellaConfig:
 @pytest.mark.parametrize("engine", ["fast", "fast-reference", "detailed"])
 def test_telemetered_run_digest_matches_plain(engine, tmp_path):
     config = _config()
-    _, plain = simulate_task(config, engine, hash_events=True)
+    plain = simulate(config, engine, hash_events=True).event_digest
     recorded = record_run(
         config,
         engine,
@@ -113,13 +113,13 @@ def test_sampled_access_log_is_a_stable_subset(tmp_path):
 
 def test_record_run_dir_writes_telemetry_block_and_access_log(tmp_path):
     out = tmp_path / "record"
-    summary = record_run_dir(
+    summary = record_run(
         _config(),
-        out,
         "fast",
+        record_dir=out,
         telemetry_port=0,
         access_log="access.jsonl",
-    )
+    ).summary()
     telemetry = summary["telemetry"]
     assert telemetry["port"] not in (None, 0)
     assert telemetry["access_log"] == str(out / "access.jsonl")

@@ -7,8 +7,7 @@ import pytest
 
 from repro.gnutella.config import GnutellaConfig
 from repro.gnutella.fast import FastGnutellaEngine
-from repro.gnutella.simulation import run_simulation
-from repro.obs.record import record_run, record_run_dir
+from repro.obs.record import record_run
 from repro.obs.trace import Tracer, read_jsonl
 
 HOUR = 3600.0
@@ -24,7 +23,7 @@ def _config(**overrides):
 
 def test_record_run_dir_layout_and_summary(tmp_path):
     out = tmp_path / "run"
-    summary = record_run_dir(_config(), out, topology_interval=HOUR)
+    summary = record_run(_config(), record_dir=out, topology_interval=HOUR).summary()
     assert sorted(p.name for p in out.iterdir()) == [
         "metrics.json",
         "summary.json",
@@ -55,7 +54,9 @@ def test_record_run_dir_layout_and_summary(tmp_path):
 
 def test_record_run_dir_without_topology_interval(tmp_path):
     out = tmp_path / "run"
-    summary = record_run_dir(_config(horizon=2 * HOUR), out, hash_events=False)
+    summary = record_run(
+        _config(horizon=2 * HOUR), record_dir=out, hash_events=False
+    ).summary()
     assert summary["event_digest"] is None
     assert not (out / "topology.jsonl").exists()
     assert "topology.jsonl" not in summary["files"]
@@ -65,7 +66,8 @@ def test_record_run_attaches_snapshotter():
     recorded = record_run(_config(horizon=2 * HOUR), topology_interval=HOUR)
     assert recorded.topology is not None
     assert len(recorded.topology.snapshots) == 1
-    assert recorded.summary()["topology_snapshots"] == 1
+    # Without a record directory nothing reaches disk.
+    assert recorded.summary()["files"] == []
 
 
 def test_tracer_flushed_writes_on_exception(tmp_path):
@@ -93,27 +95,6 @@ def _crash_at(engine, time):
     engine.sim.schedule(time, boom)
 
 
-def test_mid_run_crash_leaves_valid_trace_prefix(tmp_path, monkeypatch):
-    """A simulation dying halfway through REPRO_TRACE recording still leaves
-    a parseable JSONL trace of everything up to the failure."""
-    trace_path = tmp_path / "crash-trace.jsonl"
-    monkeypatch.setenv("REPRO_TRACE", str(trace_path))
-    original_run = FastGnutellaEngine.run
-
-    def crashing_run(self):
-        _crash_at(self, 2 * HOUR)
-        return original_run(self)
-
-    monkeypatch.setattr(FastGnutellaEngine, "run", crashing_run)
-    with pytest.raises(_Boom):
-        run_simulation(_config())
-    assert trace_path.is_file()
-    events = read_jsonl(trace_path)
-    assert len(events) > 0
-    # Everything on disk predates the crash instant (trace ts is in µs).
-    assert all(ev["ts"] <= 2 * HOUR * 1e6 for ev in events)
-
-
 def test_record_run_dir_crash_still_writes_trace_and_topology(
     tmp_path, monkeypatch
 ):
@@ -126,11 +107,13 @@ def test_record_run_dir_crash_still_writes_trace_and_topology(
 
     monkeypatch.setattr(FastGnutellaEngine, "run", crashing_run)
     with pytest.raises(_Boom):
-        record_run_dir(_config(), out, topology_interval=HOUR)
+        record_run(_config(), record_dir=out, topology_interval=HOUR)
     # summary.json never materialized (the run died), but both streams did,
     # holding everything up to the failure.
     assert not (out / "summary.json").exists()
     events = read_jsonl(out / "trace.jsonl")
     assert len(events) > 0
+    # Everything on disk predates the crash instant (trace ts is in µs).
+    assert all(ev["ts"] <= (2 * HOUR + 1.0) * 1e6 for ev in events)
     snapshots = read_jsonl(out / "topology.jsonl")
     assert len(snapshots) == 2  # the 1h and 2h snapshots fired before t=2h+1

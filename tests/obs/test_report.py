@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gnutella.config import GnutellaConfig
-from repro.obs.record import record_run_dir
+from repro.obs.record import record_run
 from repro.obs.report import main, render_report, write_report
 
 HOUR = 3600.0
@@ -20,7 +20,7 @@ def record_dir(tmp_path_factory):
         n_users=40, n_items=2000, horizon=4 * HOUR, warmup_hours=0, dynamic=True
     )
     out = tmp_path_factory.mktemp("rec") / "run"
-    record_run_dir(config, out, topology_interval=HOUR)
+    record_run(config, record_dir=out, topology_interval=HOUR)
     return out
 
 

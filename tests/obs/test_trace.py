@@ -1,4 +1,4 @@
-"""Tests for the tracer: buffering, export, env switch, query emission."""
+"""Tests for the tracer: buffering, export, query emission."""
 
 import pytest
 
@@ -6,11 +6,9 @@ from repro.obs.trace import (
     NULL_TRACER,
     PID_CHURN,
     PID_QUERY,
-    TRACE_ENV,
     Tracer,
     emit_flood_query,
     read_jsonl,
-    trace_env_path,
 )
 from repro.types import NodeId, QueryOutcome, QueryResult
 
@@ -83,26 +81,6 @@ class TestNullTracer:
         NULL_TRACER.complete("x", "query", 0.0, 1.0)
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.events == ()
-
-
-class TestTraceEnvPath:
-    def test_unset_means_disabled(self, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
-        assert trace_env_path() is None
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", ""])
-    def test_falsy_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(TRACE_ENV, value)
-        assert trace_env_path() is None
-
-    @pytest.mark.parametrize("value", ["1", "true", "on", "yes"])
-    def test_truthy_switches_use_default_path(self, monkeypatch, value):
-        monkeypatch.setenv(TRACE_ENV, value)
-        assert trace_env_path() == "repro-trace.jsonl"
-
-    def test_other_values_are_the_path(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "/tmp/my-trace.jsonl")
-        assert trace_env_path() == "/tmp/my-trace.jsonl"
 
 
 class TestEmitFloodQuery:

@@ -16,7 +16,7 @@ from repro.orchestrate.manifest import MANIFEST_SCHEMA, stable_view
 
 from .conftest import TINY_ARGS
 
-GRID = ["--figures", "fig1", "--preset", "smoke", "--seeds", "0,1", "--quiet"]
+GRID = ["fig1", "--preset", "smoke", "--seed", "0,1", "--quiet"]
 
 
 def run_grid_cli(tmp_path, name, jobs):
@@ -133,11 +133,10 @@ class TestEventStreamDigests:
         """The kernel event-stream digest (not just the result digest) is
         identical whether a task runs inline or in a pool worker."""
         args = [
-            "--figures",
             "fig1",
             "--preset",
             "smoke",
-            "--seeds",
+            "--seed",
             "0",
             "--quiet",
             "--hash-events",
