@@ -95,6 +95,27 @@ def _crash_at(engine, time):
     engine.sim.schedule(time, boom)
 
 
+def test_mid_run_crash_leaves_valid_trace_prefix(tmp_path, monkeypatch):
+    """A simulation dying halfway through trace recording still leaves a
+    parseable JSONL trace of everything up to the failure."""
+    out = tmp_path / "crash-trace"
+    original_run = FastGnutellaEngine.run
+
+    def crashing_run(self):
+        _crash_at(self, 2 * HOUR)
+        return original_run(self)
+
+    monkeypatch.setattr(FastGnutellaEngine, "run", crashing_run)
+    with pytest.raises(_Boom):
+        record_run(_config(), record_dir=out)
+    trace_path = out / "trace.jsonl"
+    assert trace_path.is_file()
+    events = read_jsonl(trace_path)
+    assert len(events) > 0
+    # Everything on disk predates the crash instant (trace ts is in µs).
+    assert all(ev["ts"] <= 2 * HOUR * 1e6 for ev in events)
+
+
 def test_record_run_dir_crash_still_writes_trace_and_topology(
     tmp_path, monkeypatch
 ):
@@ -113,7 +134,5 @@ def test_record_run_dir_crash_still_writes_trace_and_topology(
     assert not (out / "summary.json").exists()
     events = read_jsonl(out / "trace.jsonl")
     assert len(events) > 0
-    # Everything on disk predates the crash instant (trace ts is in µs).
-    assert all(ev["ts"] <= (2 * HOUR + 1.0) * 1e6 for ev in events)
     snapshots = read_jsonl(out / "topology.jsonl")
     assert len(snapshots) == 2  # the 1h and 2h snapshots fired before t=2h+1
