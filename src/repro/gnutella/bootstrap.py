@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
+from repro.rng import Draws
 from repro.types import NodeId
 
 __all__ = ["BootstrapServer"]
@@ -57,7 +56,7 @@ class BootstrapServer:
 
     def sample(
         self,
-        rng: np.random.Generator,
+        rng: Draws,
         k: int,
         exclude: Iterable[NodeId] = (),
     ) -> list[NodeId]:
@@ -80,7 +79,9 @@ class BootstrapServer:
         want = min(k, available)
         # Rejection sampling over the dense array: cheap because exclusions
         # are tiny (the requester and its current neighbors). One scalar
-        # draw per try — the digests pin the stream, so no block draws here.
+        # draw per try; the engine's stream is a ``repro.rng.ScalarDraws``,
+        # which serves numpy's exact values from raw-word blocks
+        # (``tests/test_rng_draws.py`` holds the property).
         picks: list[NodeId] = []
         seen: set[NodeId] = set()
         # Cap iterations defensively; with want <= available this terminates

@@ -36,7 +36,7 @@ from repro.gnutella.protocol import GnutellaProtocol
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.obs.trace import NULL_TRACER, PID_CHURN, emit_flood_query
-from repro.rng import RngStreams
+from repro.rng import RngStreams, ScalarDraws
 from repro.sim.kernel import Simulator
 from repro.types import NodeId, QueryOutcome
 from repro.workload.catalog import MusicCatalog
@@ -193,12 +193,15 @@ class FastGnutellaEngine:
         if eager_delay_matrix:
             self._delay_rows = self.latency.delay_rows()
 
-        self._bootstrap_rng = streams.get("bootstrap")
+        # The two streams with a scalar draw per login, top-up and query get
+        # numpy's values from raw-word blocks. ``query-timing`` draws ziggurat
+        # exponentials, which ScalarDraws does not model.
+        self._bootstrap_rng = ScalarDraws(streams.get("bootstrap"))
         # Timing and item choice draw from separate streams so that query
         # *arrival times* stay identical across schemes even after downloads
         # make libraries (and hence item-resampling) diverge.
         self._timing_rng = streams.get("query-timing")
-        self._item_rng = streams.get("query-items")
+        self._item_rng = ScalarDraws(streams.get("query-items"))
         self._exploration_rng = streams.get("exploration")
         self._selection_rng = streams.get("selection")
         self._strategy = config.parse_search_strategy()

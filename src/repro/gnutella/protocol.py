@@ -24,8 +24,6 @@ current on link add, sever, and logoff.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.soa import SoAPeerList
 from repro.core.update import (
     EvictAction,
@@ -38,6 +36,7 @@ from repro.errors import FrameworkError
 from repro.gnutella.bootstrap import BootstrapServer
 from repro.gnutella.metrics import SimulationMetrics
 from repro.obs.trace import NULL_TRACER, PID_PROTOCOL
+from repro.rng import Draws
 from repro.types import NodeId
 
 __all__ = ["GnutellaProtocol"]
@@ -291,7 +290,7 @@ class GnutellaProtocol:
     # ------------------------------------------------------------------
     # Random acquisition (login / slot top-up; both schemes)
     # ------------------------------------------------------------------
-    def fill_random(self, node: NodeId, rng: np.random.Generator) -> int:
+    def fill_random(self, node: NodeId, rng: Draws) -> int:
         """Fill ``node``'s free slots with random online peers that also
         have a free slot; returns the number of links formed.
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.rng import Draws
 from repro.types import HOUR, ItemId, NodeId
 from repro.workload.library import UserLibraries
 
@@ -77,7 +78,7 @@ class QueryModel:
         """Exponential inter-arrival draw, in seconds."""
         return float(rng.exponential(self._mean_interarrival))
 
-    def sample_category(self, user: NodeId, rng: np.random.Generator) -> int:
+    def sample_category(self, user: NodeId, rng: Draws) -> int:
         """Category of the next query, per the user's preference mix."""
         secondary = self.libraries.secondary[user]
         if not secondary or rng.random() < self.favorite_probability:
@@ -87,7 +88,7 @@ class QueryModel:
     def sample_item(
         self,
         user: NodeId,
-        rng: np.random.Generator,
+        rng: Draws,
         library: "set[ItemId] | frozenset[ItemId] | None" = None,
     ) -> ItemId:
         """The item the next query asks for (one song per query).
