@@ -28,6 +28,11 @@ from repro.workload.zipf import ZipfSampler
 
 __all__ = ["LibraryConfig", "UserLibraries", "generate_libraries"]
 
+# Songs drawn per block of users. One block's arrays (uniforms, ranks, sort
+# keys, and its finished libraries) peak under 4 MiB whatever the population;
+# a different value reads the stream differently.
+_BLOCK_SONGS = 1 << 15
+
 
 @dataclass(frozen=True, slots=True)
 class LibraryConfig:
@@ -129,6 +134,10 @@ def generate_libraries(
         fixed stream reproduces the same population).
     config:
         Generator parameters; defaults to the paper's values.
+
+    The stream is read in this order: every user's favorite category, every
+    user's size, then block by block (:data:`_BLOCK_SONGS`) one uniform per
+    category per user for the secondaries and the block's song draws.
     """
     cfg = config or LibraryConfig()
     if catalog.n_categories < cfg.n_secondary + 1:
@@ -149,45 +158,47 @@ def generate_libraries(
     max_possible = (1 + cfg.n_secondary) * catalog.items_per_category
     sizes = np.minimum(sizes, max_possible)
 
-    all_categories = np.arange(catalog.n_categories)
+    # Songs per (user, category): the favorite's share first, the rest split
+    # evenly over the secondaries (the first ones take the odd songs).
     per_category = catalog.items_per_category
-    popularity = catalog.popularity
-    # One user's draws run as one batch; its work arrays live as long as
-    # this call, not as long as the catalog.
-    scratch = popularity.batch_scratch(1 + cfg.n_secondary)
+    counts = np.zeros((cfg.n_users, 1 + cfg.n_secondary), dtype=np.int64)
+    counts[:, 0] = np.minimum(np.rint(sizes * cfg.favorite_fraction), per_category)
+    if cfg.n_secondary > 0:
+        base, extra = np.divmod(sizes - counts[:, 0], cfg.n_secondary)
+        odd = np.arange(cfg.n_secondary) < extra[:, None]
+        counts[:, 1:] = np.minimum(base[:, None] + odd, per_category)
+
     secondary: list[tuple[CategoryId, ...]] = []
     libraries: list[frozenset[ItemId]] = []
-
-    for user in range(cfg.n_users):
-        fav = int(favorite[user])
-        others = all_categories[all_categories != fav]
-        secs = tuple(
-            CategoryId(int(c))
-            for c in rng.choice(others, size=cfg.n_secondary, replace=False)
-        )
-        secondary.append(secs)
-
-        size = int(sizes[user])
-        fav_count = int(round(size * cfg.favorite_fraction))
-        fav_count = min(fav_count, per_category)
-        remaining = size - fav_count
-
-        counts = [fav_count]
-        if cfg.n_secondary > 0 and remaining > 0:
-            counts += [min(c, per_category) for c in _split_evenly(remaining, cfg.n_secondary)]
-        drawn = popularity.sample_distinct_batch(rng, counts, scratch)
-        # Insertion order (favorite's ranks first, each category's best first)
-        # fixes the set's iteration order, which the engine's indexes inherit.
-        items: list[ItemId] = []
-        for cat, ranks in zip((fav, *secs), drawn):
-            base = cat * per_category
-            items += [ItemId(base + rank) for rank in ranks]
-        libraries.append(frozenset(items))
+    ends = np.cumsum(counts.sum(axis=1))
+    start = 0
+    while start < cfg.n_users:
+        begin = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, begin + _BLOCK_SONGS, side="right")))
+        fav = favorite[start:stop]
+        # A uniformly random ordered n_secondary-subset of the other
+        # categories: the categories of the smallest uniforms, one uniform
+        # per category, the favorite's masked out.
+        secs = np.empty((stop - start, 0), dtype=np.int64)
+        if cfg.n_secondary:
+            keys = rng.random((stop - start, catalog.n_categories))
+            keys[np.arange(stop - start), fav] = np.inf
+            secs = np.argpartition(keys, cfg.n_secondary - 1, axis=1)[:, : cfg.n_secondary]
+            secs = np.take_along_axis(
+                secs, np.argsort(np.take_along_axis(keys, secs, axis=1), axis=1), axis=1
+            )
+        secondary += [tuple(row) for row in secs.tolist()]
+        # Insertion order (favorite's songs first, each category's in draw
+        # order) fixes the set's iteration order, which the engine's
+        # indexes inherit.
+        block = counts[start:stop].reshape(-1)
+        items = catalog.popularity.sample_distinct_rows(rng, block)
+        items += np.repeat(np.column_stack((fav, secs)).reshape(-1) * per_category, block)
+        flat = items.tolist()
+        a = 0
+        for b in (ends[start:stop] - begin).tolist():
+            libraries.append(frozenset(flat[a:b]))
+            a = b
+        start = stop
 
     return UserLibraries(catalog, favorite, secondary, libraries)
-
-
-def _split_evenly(total: int, parts: int) -> list[int]:
-    """Split ``total`` into ``parts`` integers differing by at most one."""
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]

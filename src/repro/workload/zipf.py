@@ -12,29 +12,28 @@ over a precomputed cumulative table — O(n) setup, O(log n) per draw:
 the same table as a list for the one-at-a-time draw of the query path, where
 a NumPy call per draw costs six times the search.
 
-Draws without replacement (:meth:`ZipfSampler.sample_distinct`) are a
-Gumbel-top-k race: every rank gets the key ``log p_i + G_i`` with ``G_i``
-standard Gumbel, and the ``k`` largest keys win. The worlds this repo pins
-by digest were built from ``rng.gumbel(size=n)``, one double of the stream
-per rank, so the stream and the keys are fixed; what is not fixed is how
-many keys have to be evaluated. numpy computes ``G = -log(-log(1 - d))``
-from a uniform ``d``, so the winners are the ``k`` smallest
-``T_i = -log(1 - d_i) / p_i``, and because ``-log(1 - d) >= d`` the test
-``d_i / p_i <= tau`` keeps every rank with ``T_i <= tau``. One
-``rng.random`` fill (the same doubles ``rng.gumbel`` would have consumed),
-one multiply and one compare leave a few dozen candidates out of thousands
-of ranks; only those get a key, and the top ``k`` of the candidates is the
-top ``k`` of the support whenever the k-th key lies inside ``tau``. When it
-does not, ``tau`` is widened on the same uniforms. When ``k`` is a large
-fraction of ``n`` nothing would be pruned and the full evaluation runs
-instead. Cost stays O(n) per draw — the uniforms themselves — but without
-the two logarithms per rank.
+Draws without replacement (:meth:`ZipfSampler.sample_distinct`, and
+:meth:`ZipfSampler.sample_distinct_rows` for many at once) are successive
+sampling: i.i.d. inverse-CDF draws, a rank kept the first time it comes up
+and skipped after that, until ``k`` distinct ranks are in hand, returned in
+the order they were drawn. That is weighted sampling without replacement by
+definition: once the ranks in ``S`` are taken, the next new rank is ``j``
+with probability ``p_j / (1 - p(S))``. Ordered Gumbel-top-k (the ``k``
+largest ``log p_i + G_i``) has the same Plackett-Luce law (Yellott 1977;
+Kool et al., ICML 2019), so the worlds built before this sampler and the
+ones built now are draws from one distribution on different streams.
 
-The candidate keys are computed with :func:`math.log`, i.e. libm's ``log``,
-which is what numpy's C ``random_gumbel`` calls. ``np.log`` takes a SIMD
-path whose last bit differs from libm's on a fraction of a percent of
-inputs, which would make the ranking almost always, not always, the one
-``rng.gumbel`` gives. ``log p_i`` is ``np.log(pmf)`` as it always was.
+The cost is the draws, not the support: a row asks for a little more than
+the number of draws expected to show ``k`` distinct ranks, read off the
+expected-distinct curve ``D(m) = sum_i 1 - (1 - p_i)^m`` (for Zipf(0.9) at
+the paper's sizes, 145 draws for 100 ranks of 4,000, 8 for 5 of 8,000). A
+row that comes up short, about one in a hundred, draws again, continuing its
+own i.i.d. sequence after the ranks it already holds. All the rows of one call share one
+``rng.random`` fill and one :func:`numpy.unique` over ``row * n + rank``,
+whose first-occurrence indices are the kept draws. When ``k`` is so large a
+fraction of the support (or the skew so steep) that a row would expect more
+than ``_MAX_DRAWS_PER_RANK * n + _RACE_CALL_DRAWS`` draws, repeats dominate
+and the full Gumbel race, O(n) per row, runs instead.
 
 Note this is the *bounded* Zipf distribution over n ranks (what the paper
 needs), not scipy's infinite-support ``zipf``; scipy's ``zipfian`` agrees
@@ -43,7 +42,6 @@ with it and is used as the oracle in the tests.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections.abc import Sequence
 
@@ -51,39 +49,24 @@ import numpy as np
 
 from repro.errors import WorkloadError
 
-__all__ = ["RaceScratch", "ZipfSampler", "zipf_pmf"]
+__all__ = ["ZipfSampler", "zipf_pmf"]
 
-# Slack, in key units, demanded between the k-th candidate key and the
-# threshold. Keys and the threshold test each carry rounding error of order
-# 1e-14; anything closer than this is settled by widening the threshold.
-_KEY_MARGIN = 1e-9
+# A successive draw costs ~0.2 us (fill, search, unique, keep), a Gumbel race
+# ~30 ns per rank plus ~12 us per call. Measured over n = 100..20,000 the race
+# wins once a row expects more draws than this many per rank, plus the call.
+_MAX_DRAWS_PER_RANK = 0.15
+_RACE_CALL_DRAWS = 50
 
-# The filtered race costs ~5 ns per rank plus ~0.45 us per candidate, the
-# full one ~25 ns per rank. Batched as generate_libraries calls it, the
-# filter was measured ahead from 8 ranks per candidate up, behind at 6.
-_SUPPORT_PER_CANDIDATE = 8.0
+# Draws asked for per expected draw, plus a fixed slack per row. A short row
+# costs a second round over the short rows only; measured at the paper's and
+# the 20,000-peer sizes, this lean first round (0.1-1.4 % of rows short) beat
+# an ask of 1.2x expected + 8 (over half the draws surplus at k = 5) by a
+# fifth of the build.
+_OVERDRAW = 1.1
+_SLACK = 2
 
-
-class _ZeroUniform(Exception):
-    """A candidate's uniform was exactly 0.0, which ``rng.gumbel`` redraws."""
-
-
-class RaceScratch:
-    """Preallocated work arrays for ``rows`` filtered races over ``n`` ranks.
-
-    Owned by whoever makes many :meth:`ZipfSampler.sample_distinct_batch`
-    calls in a row (fresh arrays of this size go through mmap and page
-    faults on every call); not kept on the sampler, which outlives them.
-    """
-
-    __slots__ = ("mask", "n", "rows", "scaled", "uniforms")
-
-    def __init__(self, n: int, rows: int) -> None:
-        self.n = n
-        self.rows = rows
-        self.uniforms = np.empty(rows * n)
-        self.scaled = np.empty(rows * n)
-        self.mask = np.empty(rows * n, dtype=bool)
+# Points of the expected-distinct curve D(m), geometric in m.
+_CURVE_POINTS = 64
 
 
 def zipf_pmf(n: int, theta: float) -> np.ndarray:
@@ -129,10 +112,8 @@ class ZipfSampler:
         # uniform draw of 1.0-epsilon can never index past the end.
         self._cdf[-1] = 1.0
         self._cdf_list: list[float] = self._cdf.tolist()
-        self._log_pmf = np.log(self.pmf)
-        self._inv_pmf = 1.0 / self.pmf
-        #: k -> candidate threshold of the filtered race (inf: full race).
-        self._thresholds: dict[int, float] = {}
+        #: (D(m), m) on a geometric grid of m, built on the first distinct draw.
+        self._curve: tuple[np.ndarray, np.ndarray] | None = None
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | int:
         """Draw ``size`` ranks (or a scalar when ``size`` is None)."""
@@ -145,159 +126,101 @@ class ZipfSampler:
 
         Used to fill a user's library: a library holds each song at most
         once, but popular songs should still be more likely to be included.
-        The result is the Gumbel-top-k draw (exponential races, equivalent
-        to sequential sampling without replacement) of the next ``n``
-        variates of ``rng``, most favoured rank first. When ``k`` is small
-        against the support only the few ranks that pass a threshold test on
-        the raw uniforms have their Gumbel key evaluated (module docstring);
-        the ranks, their order and the generator state afterwards are those
-        of the full evaluation.
+        The ranks come in the order they were drawn, so the first is a plain
+        Zipf draw and each later one is weighted among the ranks not yet
+        taken (module docstring).
         """
-        return np.array(self.sample_distinct_batch(rng, (k,))[0], dtype=np.int64)
+        return self.sample_distinct_rows(rng, [k])
 
-    def sample_distinct_batch(
-        self,
-        rng: np.random.Generator,
-        counts: Sequence[int],
-        scratch: RaceScratch | None = None,
-    ) -> list[list[int]]:
-        """``[sample_distinct(rng, k) for k in counts]``, as lists of ints.
+    def sample_distinct_rows(self, rng: np.random.Generator, counts: Sequence[int]) -> np.ndarray:
+        """One :meth:`sample_distinct` draw per entry of ``counts``, concatenated.
 
-        Same ranks, same order, same generator state as the one-by-one
-        calls (a count of zero draws nothing), but the filtered race runs
-        once over all the draws. ``scratch`` (from :meth:`batch_scratch`,
-        with at least ``len(counts)`` rows) saves allocating the work arrays
-        on every call.
+        Row ``r`` is ``out[ends[r] - counts[r] : ends[r]]`` with ``ends`` the
+        running sum of ``counts``; a count of zero draws nothing. The rows
+        that sample successively draw first, together; the rows that take
+        the Gumbel race follow, one ``rng.gumbel(size=n)`` each, in order.
         """
-        for k in counts:
-            if k < 0:
-                raise WorkloadError(f"k must be non-negative, got {k}")
-            if k > self.n:
-                raise WorkloadError(f"cannot draw {k} distinct ranks from support of {self.n}")
-        ks = [k for k in counts if k]
-        taus = [self._threshold(k) for k in ks]
-        if math.inf in taus:
-            # One draw too large for the filter: the whole batch goes one by
-            # one through the full race, which single filtered races of this
-            # size would not beat.
-            drawn = [self._gumbel_top_k(rng, k) for k in ks]
-        else:
-            drawn = self._race(rng, ks, taus, scratch)
-        it = iter(drawn)
-        return [next(it) if k else [] for k in counts]
+        ks = np.asarray(counts, dtype=np.int64).reshape(-1)
+        if ks.size and ks.min() < 0:
+            raise WorkloadError(f"k must be non-negative, got {int(ks.min())}")
+        if ks.size and ks.max() > self.n:
+            raise WorkloadError(
+                f"cannot draw {int(ks.max())} distinct ranks from support of {self.n}"
+            )
+        ends = np.cumsum(ks)
+        out = np.empty(int(ends[-1]) if ks.size else 0, dtype=np.int64)
+        draws = self._expected_draws(ks)
+        successive = np.flatnonzero((ks > 0) & np.isfinite(draws))
+        if successive.size:
+            out[_ranges(ends[successive] - ks[successive], ks[successive])] = self._successive(
+                rng, ks[successive]
+            )
+        for r in np.flatnonzero((ks > 0) & ~np.isfinite(draws)).tolist():
+            out[ends[r] - ks[r] : ends[r]] = self._gumbel_top_k(rng, int(ks[r]))
+        return out
 
-    def batch_scratch(self, rows: int) -> RaceScratch:
-        """Work arrays for :meth:`sample_distinct_batch` calls of up to ``rows`` draws."""
-        return RaceScratch(self.n, rows)
+    def _successive(self, rng: np.random.Generator, ks: np.ndarray) -> np.ndarray:
+        """The first ``ks[r]`` distinct ranks of row ``r``'s i.i.d. draws, rows concatenated."""
+        n = self.n
+        have = np.zeros_like(ks)
+        rows = np.arange(ks.size)
+        taken_rows = taken = np.empty(0, dtype=np.int64)
+        while rows.size:
+            wanted = self._expected_draws(ks[rows]) - self._expected_draws(have[rows])
+            seq_rows = np.repeat(rows, np.ceil(_OVERDRAW * wanted).astype(np.int64) + _SLACK)
+            seq = np.searchsorted(self._cdf, rng.random(seq_rows.size), side="right")
+            if taken.size:
+                # A short row's sequence goes on after the distinct ranks it
+                # already holds: repeats of those are skipped again.
+                held = have[taken_rows] < ks[taken_rows]
+                seq_rows = np.concatenate((taken_rows[held], seq_rows))
+                order = np.argsort(seq_rows, kind="stable")
+                seq_rows = seq_rows[order]
+                seq = np.concatenate((taken[held], seq))[order]
+                taken_rows, taken = taken_rows[~held], taken[~held]
+            _, first = np.unique(seq_rows * n + seq, return_index=True)
+            first.sort()
+            first_rows = seq_rows[first]
+            per_row = np.bincount(first_rows, minlength=ks.size)
+            slot = np.arange(first.size) - (np.cumsum(per_row) - per_row)[first_rows]
+            kept = first[slot < ks[first_rows]]
+            taken_rows = np.concatenate((taken_rows, seq_rows[kept]))
+            taken = np.concatenate((taken, seq[kept]))
+            have[rows] = np.minimum(per_row[rows], ks[rows])
+            rows = rows[have[rows] < ks[rows]]
+        return taken[np.argsort(taken_rows, kind="stable")]
 
-    def _gumbel_top_k(self, rng: np.random.Generator, k: int) -> list[int]:
+    def _expected_draws(self, distinct: np.ndarray) -> np.ndarray:
+        """I.i.d. draws expected to show ``distinct`` different ranks; inf past the race's guard."""
+        if self._curve is None:
+            with np.errstate(divide="ignore"):  # n == 1: the one rank never misses
+                log_miss = np.log1p(-self.pmf)
+            most = _MAX_DRAWS_PER_RANK * self.n + _RACE_CALL_DRAWS
+            reach = np.geomspace(1.0, most, _CURVE_POINTS)
+            shown = np.array([self.n - np.exp(m * log_miss).sum() for m in reach])
+            self._curve = (shown, reach)
+        shown, reach = self._curve
+        return np.where(
+            distinct < shown[-1], np.interp(distinct, shown, reach, left=0.0), np.inf
+        )
+
+    def _gumbel_top_k(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """Full evaluation: a key for every rank, keep the ``k`` largest."""
         # Gumbel-top-k: argmax of log(p) + Gumbel noise gives weighted
         # sampling without replacement.
-        keys = self._log_pmf + rng.gumbel(size=self.n)
+        keys = np.log(self.pmf) + rng.gumbel(size=self.n)
         # argpartition is O(n); full sort of k keys only.
         top = np.argpartition(keys, self.n - k)[self.n - k :]
-        return top[np.argsort(keys[top])[::-1]].tolist()
-
-    def _threshold(self, k: int) -> float:
-        """Candidate threshold of the filtered race for ``k`` draws.
-
-        Infinite (nothing is filtered out, i.e. the full evaluation) when
-        ``k`` is too large a fraction of the support for the filter to pay;
-        past ``n`` the candidate target below cannot be reached at all.
-        """
-        tau = self._thresholds.get(k)
-        if tau is not None:
-            return tau
-        target = k + 4.0 * math.sqrt(k) + 4.0
-        tau = math.inf
-        if _SUPPORT_PER_CANDIDATE * target <= self.n:
-            # E[#{i : d_i / p_i <= tau}] = sum_i min(1, tau * p_i). With the j
-            # most popular ranks saturated that is j + tau * tail_j, so
-            # tau_j = (target - j) / tail_j; the consistent j is the first
-            # whose own rank is not saturated. j < target keeps tau_j > 0.
-            j = np.arange(math.ceil(target))
-            tail = 1.0 - np.concatenate(([0.0], self._cdf[: j.size - 1]))
-            taus = (target - j) / tail
-            tau = float(taus[np.argmax(taus * self.pmf[: j.size] <= 1.0)])
-        self._thresholds[k] = tau
-        return tau
-
-    def _race(
-        self,
-        rng: np.random.Generator,
-        ks: list[int],
-        taus: list[float],
-        scratch: RaceScratch | None,
-    ) -> list[list[int]]:
-        """One filtered race per ``(k, tau)``, on the next ``len(ks) * n`` doubles."""
-        if scratch is None:
-            scratch = RaceScratch(self.n, len(ks))
-        elif scratch.n != self.n or scratch.rows < len(ks):
-            raise WorkloadError(
-                f"scratch of {scratch.rows} x {scratch.n} cannot hold {len(ks)} x {self.n}"
-            )
-        flat = scratch.uniforms[: len(ks) * self.n]
-        rng.random(out=flat)
-        while True:
-            try:
-                return self._rank_rows(flat, ks, taus, scratch)
-            except _ZeroUniform:
-                # rng.gumbel never uses a uniform of exactly 0.0: it takes
-                # the next double instead. Do the same, in stream order.
-                kept = flat[flat != 0.0]
-                while kept.size < flat.size:
-                    more = rng.random(flat.size - kept.size)
-                    kept = np.concatenate((kept, more[more != 0.0]))
-                flat[:] = kept
-
-    def _rank_rows(
-        self, flat: np.ndarray, ks: list[int], taus: list[float], scratch: RaceScratch
-    ) -> list[list[int]]:
-        """Exact top-``k`` ranks of each row of uniforms, best first.
-
-        Row ``r`` of ``flat`` holds the uniforms ``d_i`` of one draw. Its
-        winners are the ``k`` smallest ``T_i = -log(1 - d_i) / p_i``, and
-        ``d_i / p_i <= tau`` is a superset of ``T_i <= tau``: every rank that
-        fails it loses to every rank whose key is inside ``tau``.
-        """
-        n, m = self.n, len(ks)
-        d = flat.reshape(m, n)
-        scaled = np.multiply(d, self._inv_pmf, out=scratch.scaled[: m * n].reshape(m, n))
-        mask = np.less_equal(
-            scaled, np.array(taus)[:, None], out=scratch.mask[: m * n].reshape(m, n)
-        )
-        idx = np.flatnonzero(mask)
-        cols = idx % n
-        log = math.log
-        try:
-            # The key numpy's random_gumbel would have produced, bit for bit:
-            # libm's log (math.log), not np.log.
-            keys = [
-                lp + (0.0 - 1.0 * log(-log(1.0 - u)))
-                for lp, u in zip(self._log_pmf[cols].tolist(), flat[idx].tolist())
-            ]
-        except ValueError:  # log(-0.0)
-            raise _ZeroUniform from None
-        ranks = cols.tolist()
-        ends = np.searchsorted(idx, np.arange(1, m + 1) * n).tolist()
-        out: list[list[int]] = []
-        a = 0
-        for r, (k, tau, b) in enumerate(zip(ks, taus, ends)):
-            best = sorted(range(a, b), key=keys.__getitem__, reverse=True)[:k]
-            # A key is -log(T_i) up to rounding, so a k-th key this far
-            # inside tau beats every rank the filter dropped.
-            if b - a == n or (len(best) == k and keys[best[-1]] > _KEY_MARGIN - log(tau)):
-                out.append([ranks[i] for i in best])
-            else:
-                # Too few inside tau: widen it on the same uniforms (the
-                # other scratch arrays have been read out by now).
-                out.append(self._rank_rows(d[r], [k], [4.0 * tau], scratch)[0])
-            a = b
-        return out
+        return top[np.argsort(keys[top])[::-1]]
 
     def rank_probability(self, rank: int) -> float:
         """Probability of the 0-based ``rank``."""
         if not 0 <= rank < self.n:
             raise WorkloadError(f"rank {rank} out of range [0, {self.n})")
         return float(self.pmf[rank])
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)

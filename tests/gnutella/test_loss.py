@@ -53,10 +53,17 @@ class TestMessageLoss:
         assert metrics.total_queries > 0  # engine keeps running
 
     def test_dynamic_still_beats_static_under_moderate_loss(self):
-        cfg = lossy_config(0.15, n_users=100, n_items=5000, horizon=6 * HOUR)
-        static = DetailedGnutellaEngine(cfg.as_static()).run()
-        dynamic = DetailedGnutellaEngine(cfg.as_dynamic()).run()
-        assert dynamic.total_hits > static.total_hits
+        # A claim about the expected gap, so it is judged on ten paired
+        # worlds, not one: per world the gap is +30-45 hits at 24 h with a
+        # spread of ~45 (at 6 h it was +1-6 against ~20, a coin toss).
+        static = dynamic = 0
+        for seed in range(17, 27):
+            cfg = lossy_config(
+                0.15, n_users=100, n_items=5000, horizon=24 * HOUR, seed=seed
+            )
+            static += DetailedGnutellaEngine(cfg.as_static()).run().total_hits
+            dynamic += DetailedGnutellaEngine(cfg.as_dynamic()).run().total_hits
+        assert dynamic > static
 
     def test_same_seed_loss_run_is_deterministic(self):
         """Two same-config lossy runs in one process produce identical
