@@ -1,8 +1,8 @@
 """Microbenchmarks of the simulation substrates.
 
 These are classic pytest-benchmark measurements (repeated rounds): event
-queue throughput, process switching, the search hot path and the latency
-cache. Regressions here translate directly into slower figure regeneration.
+queue throughput, the search hot path and the latency cache. Regressions
+here translate directly into slower figure regeneration.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ from repro.core.search import generic_search
 from repro.core.termination import TTLTermination
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
-from repro.sim import Simulator, Store, Timeout
+from repro.sim import Simulator
 
 
 def test_bench_event_queue_throughput(benchmark):
@@ -28,51 +28,6 @@ def test_bench_event_queue_throughput(benchmark):
         return sim.events_executed
 
     assert benchmark(run) == 20_000
-
-
-def test_bench_process_switching(benchmark):
-    """1k coroutine processes x 20 timeouts each."""
-
-    def run():
-        sim = Simulator()
-        done = []
-
-        def body():
-            for _ in range(20):
-                yield Timeout(sim, 1.0)
-            done.append(True)
-
-        for _ in range(1000):
-            sim.process(body())
-        sim.run()
-        return len(done)
-
-    assert benchmark(run) == 1000
-
-
-def test_bench_store_producer_consumer(benchmark):
-    """A producer/consumer pair pushing 5k items through a bounded store."""
-
-    def run():
-        sim = Simulator()
-        store = Store(sim, capacity=16)
-        got = []
-
-        def producer():
-            for i in range(5000):
-                yield store.put(i)
-
-        def consumer():
-            for _ in range(5000):
-                item = yield store.get()
-                got.append(item)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        return len(got)
-
-    assert benchmark(run) == 5000
 
 
 class _GridView:

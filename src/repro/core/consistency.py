@@ -1,19 +1,47 @@
-"""Consistency checking over collections of neighbor states.
+"""The network *consistency* predicate of Section 3.1.
 
-Bridges :mod:`repro.core.neighbors` to the snapshot predicate in
-:mod:`repro.net.topology`. Used pervasively by tests (and available to user
-code as an invariant check after custom rewiring).
+The network is **consistent** iff there is no pair of nodes ``(n_i, n_j)``
+with ``n_j in Out(n_i)`` but ``n_i not in In(n_j)`` — i.e. nobody forwards
+requests to a node that does not expect them.
+
+:func:`find_inconsistencies` checks a whole-network snapshot (mappings from
+node id to neighbor lists) in pure Python; the other helpers apply it to the
+per-node :class:`~repro.core.neighbors.NeighborState` objects. Used
+pervasively by tests and the sanitizer (and available to user code as an
+invariant check after custom rewiring).
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.core.neighbors import NeighborState
-from repro.net.topology import find_inconsistencies
 from repro.types import NodeId
 
-__all__ = ["check_consistent", "state_inconsistencies", "symmetric_violations"]
+__all__ = [
+    "check_consistent",
+    "find_inconsistencies",
+    "state_inconsistencies",
+    "symmetric_violations",
+]
+
+
+def find_inconsistencies(
+    outgoing: Mapping[NodeId, Iterable[NodeId]],
+    incoming: Mapping[NodeId, Iterable[NodeId]],
+) -> list[tuple[NodeId, NodeId]]:
+    """All ``(i, j)`` pairs with ``j in Out(i)`` but ``i not in In(j)``.
+
+    Nodes absent from ``incoming`` are treated as having empty incoming
+    lists, so dangling outgoing edges to them are reported.
+    """
+    bad: list[tuple[NodeId, NodeId]] = []
+    incoming_sets = {node: set(lst) for node, lst in incoming.items()}
+    for i, outs in outgoing.items():
+        for j in outs:
+            if i not in incoming_sets.get(j, set()):
+                bad.append((i, j))
+    return bad
 
 
 def state_inconsistencies(

@@ -20,10 +20,6 @@ class SchedulingError(SimulationError):
     """Raised when an event is scheduled into the past or on a closed kernel."""
 
 
-class ProcessError(SimulationError):
-    """Raised for invalid process interactions (e.g. waiting on a dead process)."""
-
-
 class NetworkError(ReproError):
     """Raised for invalid network-model operations."""
 

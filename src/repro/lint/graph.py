@@ -436,18 +436,6 @@ class ProjectIndex:
                 return record
         return None
 
-    def by_module_suffix(self, suffix: str) -> ModuleRecord | None:
-        """Find a module whose dotted name ends with ``suffix``.
-
-        Lets the parity rule (R009) find ``core.search`` whether the tree is
-        rooted at ``repro`` or at a fixture package.
-        """
-        for record in sorted(self.modules.values(), key=lambda r: r.path):
-            if record.module and (record.module == suffix
-                                  or record.module.endswith("." + suffix)):
-                return record
-        return None
-
     def method_index(self) -> dict[str, list[tuple[ModuleRecord, FunctionRecord]]]:
         """Method name -> every (module, record) defining it (for CHA)."""
         out: dict[str, list[tuple[ModuleRecord, FunctionRecord]]] = {}

@@ -136,8 +136,8 @@ class _RecordingQueue:
     def __bool__(self) -> bool:
         return bool(self._inner)
 
-    def push(self, time: float, callback: ScheduledCallback, priority: int = 1) -> None:
-        self._inner.push(time, callback, priority)
+    def push(self, time: float, callback: ScheduledCallback) -> None:
+        self._inner.push(time, callback)
 
     def peek_time(self) -> float:
         return self._inner.peek_time()

@@ -5,15 +5,14 @@ one of three access classes (56K modem / cable modem / LAN), and the one-way
 delay between two users is a truncated Gaussian whose mean is governed by the
 *slower* endpoint (300 ms / 150 ms / 70 ms, sigma = 20 ms).
 
-Also provides generic message types, a transport that delivers messages over
-the :mod:`repro.sim` kernel, and topology views with the paper's network
-*consistency* predicate (Section 3.1).
+Also provides generic message types and a transport that delivers messages
+over the :mod:`repro.sim` kernel. The Section 3.1 consistency predicate lives
+in :mod:`repro.core.consistency`.
 """
 
 from repro.net.bandwidth import BandwidthClass, BandwidthModel
 from repro.net.latency import DelayParameters, LatencyModel
 from repro.net.message import Message, MessageKind
-from repro.net.topology import NeighborGraph, is_consistent
 from repro.net.transport import Transport
 
 __all__ = [
@@ -23,7 +22,5 @@ __all__ = [
     "LatencyModel",
     "Message",
     "MessageKind",
-    "NeighborGraph",
     "Transport",
-    "is_consistent",
 ]

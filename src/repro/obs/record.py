@@ -26,7 +26,6 @@ from repro.obs.profile import PhaseTimers
 from repro.obs.registry import MetricsRegistry, bind_simulation_metrics
 from repro.obs.telemetry.accesslog import AccessLogger
 from repro.obs.telemetry.exposition import render_prometheus
-from repro.obs.telemetry.httpd import TelemetrySidecar
 from repro.obs.telemetry.live import LiveTelemetry
 from repro.obs.telemetry.rolling import RollingTelemetry
 from repro.obs.topology import TopologySnapshotter
@@ -36,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gnutella.config import GnutellaConfig
     from repro.gnutella.simulation import SimulationResult
     from repro.lint.sanitize import EventStreamHasher
+    from repro.obs.telemetry.httpd import TelemetrySidecar
 
 __all__ = ["RecordedRun", "record_run"]
 
@@ -198,6 +198,8 @@ def record_run(
 
             hasher = attach_hasher(eng.sim)
         if telemetry_port is not None:
+            from repro.obs.telemetry.httpd import TelemetrySidecar
+
             sidecar = TelemetrySidecar(
                 lambda: render_prometheus(registry.snapshot()), port=telemetry_port
             )

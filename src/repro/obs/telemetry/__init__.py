@@ -16,7 +16,8 @@ turning any of them on leaves event-stream digests bit-identical):
   runs use to report as one system.
 
 Supporting cast: :mod:`~repro.obs.telemetry.httpd` (stdlib ``http.server``
-exposition sidecar for non-serve runs), :mod:`~repro.obs.telemetry.live`
+exposition sidecar for non-serve runs; import it from there, so a run that
+starts no sidecar never loads ``http.server``), :mod:`~repro.obs.telemetry.live`
 (a tracer subclass feeding rolling windows + access log from query spans),
 and :mod:`~repro.obs.telemetry.top` (the ``repro-top`` dashboard CLI).
 """
@@ -24,7 +25,6 @@ and :mod:`~repro.obs.telemetry.top` (the ``repro-top`` dashboard CLI).
 from repro.obs.telemetry.accesslog import ACCESS_LOG_SCHEMA, AccessLogger, sampled_in
 from repro.obs.telemetry.aggregate import merge_snapshots
 from repro.obs.telemetry.exposition import parse_prometheus, render_prometheus
-from repro.obs.telemetry.httpd import TelemetrySidecar
 from repro.obs.telemetry.live import LiveTelemetry
 from repro.obs.telemetry.rolling import RollingTelemetry, RollingWindow
 
@@ -34,7 +34,6 @@ __all__ = [
     "LiveTelemetry",
     "RollingTelemetry",
     "RollingWindow",
-    "TelemetrySidecar",
     "merge_snapshots",
     "parse_prometheus",
     "render_prometheus",

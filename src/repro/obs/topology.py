@@ -18,8 +18,8 @@ module records the overlay itself: every ``interval`` simulated seconds a
 * the distribution of accumulated benefit scores (Section 3.4's statistics
   tables) — the raw material reconfiguration decisions are made from.
 
-All metric functions are pure Python over plain mappings (no networkx), so
-they double as the brute-force oracle targets in the test suite.
+All metric functions are pure Python over plain mappings, so they double as
+the brute-force oracle targets in the test suite.
 
 The snapshotter is opt-in and **digest-neutral**: its periodic callback is
 marked with :func:`repro.sim.events.mark_observer`, so the event-stream
@@ -65,7 +65,7 @@ DEFAULT_REACHABILITY_SOURCES = 32
 
 
 # ----------------------------------------------------------------------
-# Pure metric functions (plain mappings in, floats out; no networkx)
+# Pure metric functions (plain mappings in, floats out)
 # ----------------------------------------------------------------------
 def gini(values: Sequence[float]) -> float:
     """Gini coefficient of a non-negative sample (0 = equal, ->1 = one
@@ -237,9 +237,10 @@ class OverlayView:
     def clustering_by_attribute(self, attribute: Mapping[NodeId, int]) -> float:
         """Fraction of edges whose endpoints share the same attribute value.
 
-        Pure-Python twin of :meth:`repro.net.topology.NeighborGraph.
-        clustering_by_attribute` (same value on the same snapshot — neighbor
-        lists cannot hold duplicates, so no deduplication is needed).
+        With ``attribute`` = favorite music category, this measures how well
+        dynamic reconfiguration groups "nodes with similar content together"
+        (Section 4.3). Neighbor lists cannot hold duplicates, so every edge is
+        counted once without deduplication.
         """
         edges = 0
         same = 0

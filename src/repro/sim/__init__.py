@@ -1,41 +1,28 @@
 """A from-scratch discrete-event simulation kernel.
 
 This subpackage is the substrate every simulation in :mod:`repro` runs on. It
-provides a small, fast SimPy-flavored API:
+is one callback kernel:
 
-* :class:`~repro.sim.kernel.Simulator` — the event loop: ``schedule`` /
-  ``schedule_at`` callbacks, ``run`` / ``run_until`` / ``step``.
-* :class:`~repro.sim.events.Event` — one-shot events with callbacks and
-  success/failure payloads.
-* :class:`~repro.sim.process.Process` — generator-based coroutine processes
-  that ``yield`` timeouts, events, or other processes.
-* :class:`~repro.sim.resources.Store` and
-  :class:`~repro.sim.resources.Resource` — queueing primitives.
+* :class:`~repro.sim.kernel.Simulator` — the clock and run loop: ``schedule``
+  (relative delay) / ``schedule_at`` (absolute time) a callback, then ``run``
+  until the queue drains or a given time.
+* :class:`~repro.sim.events.EventQueue` — the ``(time, sequence, callback)``
+  heap, and :class:`~repro.sim.events.ScheduledCallback`, the cancellable
+  handle ``schedule`` returns.
 * :mod:`~repro.sim.monitor` — counters, time-series probes and hourly
   bucketing used by the experiment layer.
-
-SimPy itself is not available in this environment; the subset implemented here
-covers everything the paper's simulations need and is exercised directly by
-the test suite.
 """
 
-from repro.sim.events import Event, EventQueue, ScheduledCallback
+from repro.sim.events import EventQueue, ScheduledCallback
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Counter, HourlyBuckets, TimeSeries, WelfordStats
-from repro.sim.process import Process, Timeout
-from repro.sim.resources import Resource, Store
 
 __all__ = [
     "Counter",
-    "Event",
     "EventQueue",
     "HourlyBuckets",
-    "Process",
-    "Resource",
     "ScheduledCallback",
     "Simulator",
-    "Store",
     "TimeSeries",
-    "Timeout",
     "WelfordStats",
 ]

@@ -1,18 +1,18 @@
 """The simulation kernel: clock, scheduler, and run loop.
 
-The kernel is callback-based at the bottom (fast path used by the hot
-Gnutella engines) with generator-based :class:`~repro.sim.process.Process`
-coroutines layered on top (used by the detailed message-level engine and the
-queueing primitives).
+One callback kernel: every engine, the server and the experiments drive it
+through :meth:`Simulator.schedule`, :meth:`Simulator.schedule_at` and
+:meth:`Simulator.run`, and each event is a plain ``fn(*args)`` call popped from
+an :class:`~repro.sim.events.EventQueue`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import NORMAL, Event, EventQueue, ScheduledCallback
+from repro.sim.events import EventQueue, ScheduledCallback
 
 __all__ = ["Simulator"]
 
@@ -42,7 +42,6 @@ class Simulator:
         self._now = float(start_time)
         self._queue = EventQueue()
         self._running = False
-        self._stopped = False
         self._events_executed = 0
 
     # ------------------------------------------------------------------
@@ -66,13 +65,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = NORMAL,
-    ) -> ScheduledCallback:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledCallback:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
         Returns a handle whose :meth:`~repro.sim.events.ScheduledCallback.cancel`
@@ -81,132 +74,40 @@ class Simulator:
         if delay < 0 or math.isnan(delay) or math.isinf(delay):
             raise SchedulingError(f"delay must be finite and non-negative, got {delay!r}")
         handle = ScheduledCallback(self._now + delay, fn, args)
-        self._queue.push(handle.time, handle, priority)
+        self._queue.push(handle.time, handle)
         return handle
 
-    def schedule_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = NORMAL,
-    ) -> ScheduledCallback:
-        """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> ScheduledCallback:
+        """Schedule ``fn(*args)`` at absolute simulation time ``time``.
+
+        The callback fires at ``time`` itself: going through a relative delay
+        would store ``now + (time - now)``, which can round to the next float.
+        """
+        if math.isnan(time) or math.isinf(time):
+            raise SchedulingError(f"time must be finite, got {time!r}")
         if time < self._now:
             raise SchedulingError(
                 f"cannot schedule into the past (now={self._now!r}, requested={time!r})"
             )
-        return self.schedule(time - self._now, fn, *args, priority=priority)
-
-    def event(self) -> Event:
-        """Create a new pending :class:`~repro.sim.events.Event`."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """Return an event that succeeds ``delay`` seconds from now."""
-        ev = Event(self)
-        self.schedule(delay, ev.succeed, value)
-        return ev
-
-    def process(self, generator: Generator[Any, Any, Any]) -> "Any":
-        """Start a coroutine process on this kernel.
-
-        Accepts a generator (typically from calling a generator function) and
-        returns the started :class:`~repro.sim.process.Process`.
-        """
-        from repro.sim.process import Process  # local import: avoids cycle
-
-        return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """Return an event that succeeds once every given event has succeeded.
-
-        The payload is the list of individual payloads in input order. If any
-        constituent fails, the combined event fails with that exception (the
-        first failure wins).
-        """
-        events = list(events)
-        combined = Event(self)
-        remaining = len(events)
-        values: list[Any] = [None] * len(events)
-        if remaining == 0:
-            combined.succeed([])
-            return combined
-
-        def make_cb(index: int) -> Callable[[Event], None]:
-            def on_done(ev: Event) -> None:
-                nonlocal remaining
-                if combined.triggered:
-                    return
-                if not ev.ok:
-                    combined.fail(ev.value)
-                    return
-                values[index] = ev.value
-                remaining -= 1
-                if remaining == 0:
-                    combined.succeed(list(values))
-
-            return on_done
-
-        for i, ev in enumerate(events):
-            ev.add_callback(make_cb(i))
-        return combined
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Return an event that mirrors the first of ``events`` to trigger."""
-        events = list(events)
-        if not events:
-            raise SimulationError("any_of() requires at least one event")
-        combined = Event(self)
-
-        def on_done(ev: Event) -> None:
-            if combined.triggered:
-                return
-            if ev.ok:
-                combined.succeed(ev.value)
-            else:
-                combined.fail(ev.value)
-
-        for ev in events:
-            ev.add_callback(on_done)
-        return combined
+        handle = ScheduledCallback(time, fn, args)
+        self._queue.push(time, handle)
+        return handle
 
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def step(self) -> float | None:
-        """Execute the single earliest pending callback; return its time.
-
-        Cancelled entries are discarded silently. Returns ``None`` if the
-        queue held only cancelled entries (nothing was executed). Raises
-        :class:`SchedulingError` if the queue is completely empty.
-        """
-        if not self._queue:
-            raise SchedulingError("event queue is empty")
-        while self._queue:
-            time, handle = self._queue.pop()
-            if handle.cancelled:
-                continue
-            self._now = time
-            self._events_executed += 1
-            handle.fn(*handle.args)
-            return time
-        return None
-
     def run(self, until: float | None = None) -> None:
         """Run until the queue drains, or until the clock reaches ``until``.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
-        even if the queue drains earlier, matching SimPy semantics, and no
-        callback due after ``until`` runs — also not one that surfaces from
-        behind a cancelled entry.
+        even if the queue drains earlier, and no callback due after ``until``
+        runs — also not one that surfaces from behind a cancelled entry.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly from within a callback")
         if until is not None and until < self._now:
             raise SchedulingError(f"until={until!r} is in the past (now={self._now!r})")
         self._running = True
-        self._stopped = False
         try:
             # One entry per iteration: a cancelled entry is dropped and the
             # loop comes round to the ``until`` test again, so the entry
@@ -224,17 +125,7 @@ class Simulator:
                 self._now = time
                 self._events_executed += 1
                 handle.fn(*handle.args)
-                if self._stopped:
-                    break
         finally:
             self._running = False
-        if until is not None and not self._stopped:
+        if until is not None:
             self._now = max(self._now, until)
-
-    def stop(self) -> None:
-        """Stop the run loop after the current callback returns.
-
-        Intended to be called from inside a callback (e.g. a termination
-        condition probe).
-        """
-        self._stopped = True

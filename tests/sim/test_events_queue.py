@@ -4,7 +4,7 @@ these pin down its contract directly)."""
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sim.events import HIGH, LOW, NORMAL, EventQueue, ScheduledCallback
+from repro.sim.events import EventQueue, ScheduledCallback
 
 
 def cb():
@@ -27,16 +27,6 @@ class TestEventQueue:
             q.push(t, handle)
         times = [q.pop()[0] for _ in range(3)]
         assert times == [1.0, 2.0, 3.0]
-
-    def test_priority_within_same_time(self):
-        q = EventQueue()
-        low, normal, high = cb(), cb(), cb()
-        q.push(1.0, low, LOW)
-        q.push(1.0, normal, NORMAL)
-        q.push(1.0, high, HIGH)
-        assert q.pop()[1] is high
-        assert q.pop()[1] is normal
-        assert q.pop()[1] is low
 
     def test_fifo_within_same_time_and_priority(self):
         q = EventQueue()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import SchedulingError, SimulationError
 from repro.obs.profile import PhaseTimers
 from repro.sim import Simulator
-from repro.sim.events import HIGH, LOW
 
 
 class TestScheduling:
@@ -31,15 +30,6 @@ class TestScheduling:
         sim.run()
         assert fired == list(range(10))
 
-    def test_priority_overrides_fifo_at_same_time(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "normal")
-        sim.schedule(1.0, fired.append, "high", priority=HIGH)
-        sim.schedule(1.0, fired.append, "low", priority=LOW)
-        sim.run()
-        assert fired == ["high", "normal", "low"]
-
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = []
@@ -54,6 +44,23 @@ class TestScheduling:
         sim.schedule_at(12.0, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [12.0]
+
+    def test_schedule_at_fires_at_exactly_the_requested_time(self):
+        """Away from ``now == 0`` the relative round-trip ``now + (time - now)``
+        lands one ulp past ``time``; the absolute form must not."""
+        sim = Simulator(start_time=6.258535385348296)
+        target = 20513.26656482484
+        seen = []
+        handle = sim.schedule_at(target, lambda: seen.append(sim.now))
+        sim.run()
+        assert handle.time.hex() == target.hex()
+        assert [t.hex() for t in seen] == [target.hex()]
+
+    def test_schedule_at_non_finite_rejected(self):
+        sim = Simulator()
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SchedulingError):
+                sim.schedule_at(bad, lambda: None)
 
     def test_negative_delay_rejected(self):
         sim = Simulator()
@@ -190,16 +197,6 @@ class TestRunLoop:
         sim.run()
         assert sim.events_executed == 0
 
-    def test_stop_halts_loop(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, sim.stop)
-        sim.schedule(3.0, fired.append, "b")
-        sim.run()
-        assert fired == ["a"]
-        assert sim.now == 2.0
-
     def test_reentrant_run_rejected(self):
         sim = Simulator()
         errors = []
@@ -214,18 +211,6 @@ class TestRunLoop:
         sim.run()
         assert len(errors) == 1
 
-    def test_step_empty_queue_raises(self):
-        with pytest.raises(SchedulingError):
-            Simulator().step()
-
-    def test_step_executes_exactly_one(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(2.0, fired.append, 2)
-        assert sim.step() == 1.0
-        assert fired == [1]
-
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=60))
     def test_property_execution_order_is_sorted(self, delays):
         sim = Simulator()
@@ -235,73 +220,3 @@ class TestRunLoop:
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
-
-
-class TestEvents:
-    def test_timeout_event_payload(self):
-        sim = Simulator()
-        got = []
-        ev = sim.timeout(2.0, value="payload")
-        ev.add_callback(lambda e: got.append((sim.now, e.value)))
-        sim.run()
-        assert got == [(2.0, "payload")]
-
-    def test_event_double_trigger_rejected(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.succeed()
-        with pytest.raises(SchedulingError):
-            ev.succeed()
-
-    def test_fail_requires_exception(self):
-        sim = Simulator()
-        with pytest.raises(TypeError):
-            sim.event().fail("not an exception")  # type: ignore[arg-type]
-
-    def test_late_callback_still_runs(self):
-        sim = Simulator()
-        got = []
-        ev = sim.timeout(1.0, value=5)
-        sim.run()
-        ev.add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == [5]
-
-    def test_all_of_collects_in_order(self):
-        sim = Simulator()
-        got = []
-        evs = [sim.timeout(3.0, "c"), sim.timeout(1.0, "a"), sim.timeout(2.0, "b")]
-        sim.all_of(evs).add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == [["c", "a", "b"]]
-
-    def test_all_of_empty(self):
-        sim = Simulator()
-        got = []
-        sim.all_of([]).add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == [[]]
-
-    def test_any_of_first_wins(self):
-        sim = Simulator()
-        got = []
-        evs = [sim.timeout(3.0, "slow"), sim.timeout(1.0, "fast")]
-        sim.any_of(evs).add_callback(lambda e: got.append((sim.now, e.value)))
-        sim.run()
-        assert got == [(1.0, "fast")]
-
-    def test_any_of_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().any_of([])
-
-    def test_all_of_propagates_failure(self):
-        sim = Simulator()
-        got = []
-        ok = sim.timeout(1.0)
-        bad = sim.event()
-        sim.schedule(0.5, bad.fail, RuntimeError("boom"))
-        combined = sim.all_of([ok, bad])
-        combined.add_callback(lambda e: got.append(e.ok))
-        sim.run()
-        assert got == [False]
-        assert isinstance(combined.value, RuntimeError)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.summary import ComparisonRow
-from repro.sim import Simulator, Timeout
-from repro.sim.process import Interrupt
 from repro.workload.catalog import MusicCatalog
 from repro.workload.library import LibraryConfig, generate_libraries
 from repro.workload.queries import QueryModel
@@ -39,46 +37,6 @@ class TestQueryModelGiveUp:
         qm = QueryModel(pop, exclude_local=True, max_resample=4)
         item = qm.sample_item(0, np.random.default_rng(1))
         assert pop.holds(0, item)  # gave up and returned an owned item
-
-
-class TestProcessInterruptRecovery:
-    def test_process_continues_after_catching_interrupt(self):
-        sim = Simulator()
-        log = []
-
-        def body():
-            try:
-                yield Timeout(sim, 100.0)
-            except Interrupt:
-                log.append(("interrupted", sim.now))
-            yield Timeout(sim, 1.0)  # life goes on
-            log.append(("done", sim.now))
-
-        proc = sim.process(body())
-        sim.schedule(5.0, proc.interrupt)
-        sim.run()
-        assert log == [("interrupted", 5.0), ("done", 6.0)]
-        assert proc.ok
-
-
-class TestKernelEventOrderAcrossPriorities:
-    def test_trigger_then_schedule_interleaving(self):
-        """Events triggered inside a callback dispatch in trigger order even
-        when mixed with plain scheduled callbacks at the same instant."""
-        sim = Simulator()
-        order = []
-        ev1, ev2 = sim.event(), sim.event()
-        ev1.add_callback(lambda e: order.append("ev1"))
-        ev2.add_callback(lambda e: order.append("ev2"))
-
-        def fire():
-            ev1.succeed()
-            sim.schedule(0.0, order.append, "direct")
-            ev2.succeed()
-
-        sim.schedule(1.0, fire)
-        sim.run()
-        assert order == ["ev1", "direct", "ev2"]
 
 
 class TestStatsTableRankedStability:

@@ -46,7 +46,6 @@ class TestErrorHierarchy:
         [
             errors.SimulationError,
             errors.SchedulingError,
-            errors.ProcessError,
             errors.NetworkError,
             errors.TopologyError,
             errors.WorkloadError,
@@ -60,7 +59,6 @@ class TestErrorHierarchy:
 
     def test_specializations(self):
         assert issubclass(errors.SchedulingError, errors.SimulationError)
-        assert issubclass(errors.ProcessError, errors.SimulationError)
         assert issubclass(errors.TopologyError, errors.NetworkError)
         assert issubclass(errors.NeighborListError, errors.FrameworkError)
 
