@@ -30,10 +30,11 @@ with these structural replacements:
   result's discovery path is recovered by binary search over the span ends
   (results are rare; enqueues are not);
 * an **inverted holder index** (:class:`HolderIndex`: item -> set of
-  holders), so a node's "do I hold this?" check is one set membership and —
-  decisively — the *final* hop level, which is the bulk of a flood and never
-  forwards, collapses to a single C-level ``set.intersection`` over the
-  level slice instead of a Python-level loop;
+  holders, regrouped once from the population's library CSR and the
+  engine's only live holdings), so a node's "do I hold this?" check is one
+  set membership and — decisively — the *final* hop level, which is the
+  bulk of a flood and never forwards, collapses to a single C-level
+  ``set.intersection`` over the level slice instead of a Python-level loop;
 * **precomputed delay rows** (:meth:`~repro.net.latency.LatencyModel.
   delay_rows`): each result's path delay is reconstructed by plain
   ``rows[a][b]`` indexing instead of a method call per path edge.
@@ -52,7 +53,7 @@ over whole simulations.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,53 +67,45 @@ _NO_HOLDERS: frozenset[NodeId] = frozenset()
 
 
 class HolderIndex:
-    """Compact inverted holder index: item -> set of holders, CSR-backed.
+    """The live holdings: item -> set of holders, built from a library CSR.
 
     A dict of holder sets is the right shape per query but the wrong shape
     per *node*: at 50k peers with 50-song libraries it is millions of
-    hash-set entries spread over a million tiny sets — gigabytes of pointer
-    soup, built eagerly for items that are never queried. This index stores
-    the initial libraries as two parallel int64 arrays sorted by item (a CSR
-    without the offsets column — the per-item slice is recovered by binary
-    search), which is ~16 bytes per (item, holder) entry, and materializes a
-    *set* per item only on first query, cached thereafter. Query skew (the
-    Zipf catalog) keeps the cache to the popular tail that actually gets
-    asked about.
+    hash-set entries spread over a million tiny sets, built eagerly for
+    items that are never queried. This index takes the population's CSR
+    (``items``, ``offsets``: user ``u`` holds ``items[offsets[u] :
+    offsets[u + 1]]``) and regroups it by item once: an int32 owner column
+    sorted by item, owners ascending within an item, and per-item start
+    offsets (``_starts``, read through a ``memoryview``, so locating an
+    item's owners is two index reads). A *set* per item is materialized only
+    on first use and cached thereafter; its members are the shared ints of
+    one node-id tuple, so a cached set costs only its hash table. Query skew
+    (the Zipf catalog) keeps the cache to the popular tail that actually
+    gets asked about.
 
-    Downloads (:meth:`add_holder`) land in the cached set when the item has
-    one, else in a per-item overflow list that is folded in when the set is
-    first built — so reads always observe every add, in either order.
+    It is the engine's only record of who holds what. Downloads
+    (:meth:`add_holder`) land in the cached set when the item has one, else
+    in a per-item overflow list that is folded in when the set is first
+    built, so reads always observe every add, in either order.
 
     ``get(item, default)`` keeps the dict signature the search kernel calls
-    it with (``default`` is never needed here — every item resolves to a
+    it with (``default`` is never needed here: every item resolves to a
     real, possibly empty, set).
     """
 
-    __slots__ = ("n_nodes", "_item_ids", "_owners", "_cache", "_extra")
+    __slots__ = ("n_nodes", "_node_ids", "_owners", "_starts", "_n_items", "_cache", "_extra")
 
-    def __init__(self, libraries: Sequence[Iterable[ItemId]]) -> None:
-        self.n_nodes = len(libraries)
-        chunks: list[tuple[int, np.ndarray]] = []
-        for node, library in enumerate(libraries):
-            size = len(library)  # type: ignore[arg-type]
-            if size:
-                # Per-user item order is irrelevant: entries are re-grouped
-                # by item below, and within an item the stable sort leaves
-                # owners in ascending node order by construction.
-                chunks.append(
-                    (node, np.fromiter(library, dtype=np.int64, count=size))
-                )
-        if chunks:
-            items = np.concatenate([c for _, c in chunks])
-            owners = np.concatenate(
-                [np.full(len(c), node, dtype=np.int64) for node, c in chunks]
-            )
-            order = np.argsort(items, kind="stable")
-            self._item_ids = items[order]
-            self._owners = owners[order]
-        else:
-            self._item_ids = np.empty(0, dtype=np.int64)
-            self._owners = np.empty(0, dtype=np.int64)
+    def __init__(self, items: np.ndarray, offsets: np.ndarray) -> None:
+        self.n_nodes = len(offsets) - 1
+        self._node_ids = tuple(range(self.n_nodes))
+        # A stable sort by item leaves each item's owners in ascending node
+        # order, since the CSR lists users in node order.
+        owners = np.repeat(np.arange(self.n_nodes, dtype=np.int32), np.diff(offsets))
+        self._owners = memoryview(owners[np.argsort(items, kind="stable")])
+        starts = np.zeros(int(items.max(initial=-1)) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(items, minlength=len(starts) - 1), out=starts[1:])
+        self._starts = memoryview(starts)
+        self._n_items = len(starts) - 1
         #: Materialized per-item holder sets (only for items ever queried).
         self._cache: dict[ItemId, set[NodeId]] = {}
         #: Post-construction adds for items not yet materialized.
@@ -122,9 +115,12 @@ class HolderIndex:
         """The live holder set of ``item`` (materialized on first use)."""
         members = self._cache.get(item)
         if members is None:
-            lo = self._item_ids.searchsorted(item, side="left")
-            hi = self._item_ids.searchsorted(item, side="right")
-            members = set(self._owners[lo:hi].tolist())
+            if 0 <= item < self._n_items:
+                starts = self._starts
+                owners = self._owners[starts[item] : starts[item + 1]]
+                members = set(map(self._node_ids.__getitem__, owners))
+            else:
+                members = set()
             extra = self._extra.pop(item, None)
             if extra is not None:
                 members.update(extra)
@@ -158,9 +154,9 @@ class FloodFastPath:
         per node, dense by node id). Rows obey the invariants the protocol
         maintains: no duplicate members and no self-membership.
     holdings:
-        The inverted item -> holders :class:`HolderIndex`. Any later
-        library growth **must** be mirrored through :meth:`add_holder` (the
-        engine's download path does).
+        The live item -> holders :class:`HolderIndex`, read at query time:
+        a download recorded through :meth:`HolderIndex.add_holder` is seen
+        by the next query.
     delay_rows:
         ``delay_rows[a][b]`` is the one-way delay of the ``a``-``b`` link as
         a Python float — :meth:`repro.net.latency.LatencyModel.delay_rows`
@@ -239,15 +235,6 @@ class FloodFastPath:
         #: events read it). It touches no outcome, RNG, or event order.
         self.collect_levels = False
         self.last_level_ends: list[int] | None = None
-
-    def add_holder(self, node: NodeId, item: ItemId) -> None:
-        """Mirror ``holdings[node].add(item)`` into the inverted index.
-
-        The engines call this when a download grows a live library; the
-        index and the library sets must never diverge (idempotent, like
-        ``set.add``).
-        """
-        self._holders_of.add_holder(node, item)
 
     def _path_delay(self, initiator: NodeId, node: NodeId, parent: int) -> float:
         """One-way delay of ``node``'s discovery path, walked backwards in

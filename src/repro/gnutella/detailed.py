@@ -109,9 +109,7 @@ class DetailedGnutellaEngine(FastGnutellaEngine):
         peer = self.peers[node]
         if not peer.online or peer.query_epoch != epoch:
             return
-        item = self.query_model.sample_item(
-            node, self._item_rng, library=self.live_libraries[node]
-        )
+        item = self.query_model.sample_item(node, self._item_rng)
         record = _PendingQuery(node, item, self.sim.now, epoch)
         neighbors = list(peer.neighbors.outgoing)
         if neighbors:
@@ -179,7 +177,7 @@ class DetailedGnutellaEngine(FastGnutellaEngine):
                 tid=int(node),
                 args={"hop": message.hops, "query": qid},
             )
-        if item in self.live_libraries[node]:
+        if node in self.holders.get(item):
             # Reply to the initiator along the reverse path; do not forward.
             if self.tracer.enabled:
                 self.tracer.instant(
@@ -293,7 +291,7 @@ class DetailedGnutellaEngine(FastGnutellaEngine):
         )
         peer = self.peers[record.initiator]
         if hit and self.config.downloads_grow_libraries:
-            self.live_libraries[record.initiator].add(record.item)
+            self.holders.add_holder(record.initiator, record.item)
         if not self.config.dynamic:
             return
         if peer.online and peer.query_epoch == record.epoch:

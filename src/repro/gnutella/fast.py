@@ -17,7 +17,7 @@ schemes differ only in link management, which draws from ``bootstrap``). A
 static and a dynamic run with the same seed therefore face the identical
 sequence of sessions and query arrivals — the comparisons in Figures 1-3 are
 paired. (Queried items can drift between schemes once downloads make the
-live libraries differ; arrival times never do.)
+holdings differ; arrival times never do.)
 """
 
 from __future__ import annotations
@@ -50,17 +50,17 @@ __all__ = ["FastGnutellaEngine"]
 class _QueryView:
     """NetworkView over the live peer population (hot path, zero copies)."""
 
-    __slots__ = ("_peers", "_libraries", "_latency")
+    __slots__ = ("_peers", "_holders", "_latency")
 
-    def __init__(self, peers, libraries, latency: LatencyModel) -> None:
+    def __init__(self, peers, holders: HolderIndex, latency: LatencyModel) -> None:
         self._peers = peers
-        self._libraries = libraries
+        self._holders = holders
         self._latency = latency
 
     def holds(self, node: NodeId, item) -> bool:
         # Links exist only among online peers, so reachability implies
         # online; no extra check needed.
-        return item in self._libraries[node]
+        return node in self._holders.get(item)
 
     def neighbors(self, node: NodeId):
         return self._peers[node].neighbors.outgoing.view()
@@ -148,8 +148,11 @@ class FastGnutellaEngine:
         )
         self.bandwidth = BandwidthModel(config.n_users, streams.get("bandwidth"))
         self.latency = LatencyModel(self.bandwidth, streams.get("latency"))
+        #: Who holds what, live: one index over the generated CSR. Downloads
+        #: grow it (``add_holder``); searches and local exclusion read it.
+        self.holders = HolderIndex(self.libraries.items, self.libraries.offsets)
         self.query_model = QueryModel(
-            self.libraries, rate_per_hour=config.queries_per_hour
+            self.libraries, rate_per_hour=config.queries_per_hour, holders=self.holders
         )
 
         churn_model = ChurnModel(config.mean_online, config.mean_offline)
@@ -176,9 +179,7 @@ class FastGnutellaEngine:
         # tracer attaches): the per-hour reconfiguration series needs real
         # simulated timestamps on every run.
         self.protocol.now = lambda: self.sim.now
-        #: Live shared libraries; grow with downloads when configured.
-        self.live_libraries: list[set] = [set(lib) for lib in self.libraries.libraries]
-        self.view = _QueryView(self.peers, self.live_libraries, self.latency)
+        self.view = _QueryView(self.peers, self.holders, self.latency)
         self.termination = TTLTermination(config.max_hops)
         # Delays are static per run, so materialize the full pairwise matrix
         # up front (canonical vectorized draws). Built for the reference
@@ -222,10 +223,10 @@ class FastGnutellaEngine:
                 # The fast path needs the precomputed rows; force the build.
                 self._delay_rows = self.latency.delay_rows()
             # The kernel walks the live outgoing id slab (no per-node row
-            # objects) and the compact CSR-backed holder index.
+            # objects) and reads the engine's one holder index.
             self._fastpath = FloodFastPath(
                 self.arrays.out,
-                HolderIndex(self.live_libraries),
+                self.holders,
                 self._delay_rows,
                 self.termination.max_hops,
             )
@@ -329,17 +330,11 @@ class FastGnutellaEngine:
         peer = self.peers[node]
         if not peer.online or peer.query_epoch != epoch:
             return  # stale timer from a previous session
-        item = self.query_model.sample_item(
-            node, self._item_rng, library=self.live_libraries[node]
-        )
+        item = self.query_model.sample_item(node, self._item_rng)
         outcome = self._execute_search(node, item, peer)
         if outcome.hit and self.config.downloads_grow_libraries:
             # The user downloads the song and shares it from now on.
-            self.live_libraries[node].add(item)
-            if self._fastpath is not None:
-                # Keep the fast path's inverted holder index in lockstep
-                # with the live library mutation above.
-                self._fastpath.add_holder(node, item)
+            self.holders.add_holder(node, item)
         self.metrics.record_query(
             self.sim.now,
             outcome.hit,
@@ -445,9 +440,7 @@ class FastGnutellaEngine:
         # same preference mix as real queries, without consuming the paired
         # query streams).
         probe = [
-            self.query_model.sample_item(
-                node, self._exploration_rng, library=self.live_libraries[node]
-            )
+            self.query_model.sample_item(node, self._exploration_rng)
             for _ in range(self.config.exploration_probe_items)
         ]
         outcome = generic_explore(

@@ -13,10 +13,15 @@ Section 4.2's construction, step by step:
   popularity, without replacement (a library holds each song once) — "some
   popular songs are requested by most fans in the corresponding categories -
   the majority of the songs are requested by very few".
+
+The population is stored flat: one int32 array of every user's songs back to
+back in draw order, and ``n_users + 1`` offsets into it (a CSR). No per-user
+set is kept; :class:`UserLibraries` builds one on demand for analysis.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +34,8 @@ from repro.workload.zipf import ZipfSampler
 __all__ = ["LibraryConfig", "UserLibraries", "generate_libraries"]
 
 # Songs drawn per block of users. One block's arrays (uniforms, ranks, sort
-# keys, and its finished libraries) peak under 4 MiB whatever the population;
-# a different value reads the stream differently.
+# keys) peak under 4 MiB whatever the population; a different value reads
+# the stream differently.
 _BLOCK_SONGS = 1 << 15
 
 
@@ -59,8 +64,41 @@ class LibraryConfig:
             raise WorkloadError("n_secondary must be non-negative")
 
 
+class _Libraries(Sequence):
+    """``libraries[u]``: user ``u``'s songs as a frozenset, built on demand.
+
+    The set is built from the user's CSR slice in draw order, so it iterates
+    in the generator's insertion order. Analysis code and tests read this;
+    the engine never builds one.
+    """
+
+    __slots__ = ("_items", "_offsets")
+
+    def __init__(self, items: np.ndarray, offsets: np.ndarray) -> None:
+        self._items = items
+        self._offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, user: int) -> frozenset[ItemId]:  # type: ignore[override]
+        user = range(len(self))[user]
+        return frozenset(self._items[self._offsets[user] : self._offsets[user + 1]].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 class UserLibraries:
     """The generated population: who holds what, and who likes what.
+
+    Holdings are one CSR layout: ``items`` holds every user's songs back to
+    back in draw order, and user ``u``'s are
+    ``items[offsets[u] : offsets[u + 1]]`` (``offsets`` has ``n_users + 1``
+    entries). The engine indexes it once
+    (:class:`~repro.core.fastpath.HolderIndex`) and never copies it per user.
 
     Attributes
     ----------
@@ -70,8 +108,11 @@ class UserLibraries:
         ``favorite[u]`` — favorite category of user ``u``.
     secondary:
         ``secondary[u]`` — tuple of secondary categories of user ``u``.
+    items, offsets:
+        The CSR: int32 item ids and int64 row offsets.
     libraries:
-        ``libraries[u]`` — frozenset of item ids user ``u`` shares.
+        ``libraries[u]`` — frozenset of item ids user ``u`` shares, built on
+        demand from the CSR (for analysis; see :class:`_Libraries`).
     """
 
     def __init__(
@@ -79,29 +120,32 @@ class UserLibraries:
         catalog: MusicCatalog,
         favorite: np.ndarray,
         secondary: list[tuple[CategoryId, ...]],
-        libraries: list[frozenset[ItemId]],
+        items: np.ndarray,
+        offsets: np.ndarray,
     ) -> None:
         self.catalog = catalog
         self.favorite = favorite
         self.secondary = secondary
-        self.libraries = libraries
+        self.items = items
+        self.offsets = offsets
+        self.libraries = _Libraries(items, offsets)
 
     @property
     def n_users(self) -> int:
         """Number of users in the population."""
-        return len(self.libraries)
+        return len(self.offsets) - 1
 
     def holds(self, user: NodeId, item: ItemId) -> bool:
         """Whether ``user`` shares ``item``."""
-        return item in self.libraries[user]
+        return item in self.items[self.offsets[user] : self.offsets[user + 1]]
 
     def library_sizes(self) -> np.ndarray:
         """Array of per-user library sizes."""
-        return np.array([len(lib) for lib in self.libraries], dtype=np.int64)
+        return np.diff(self.offsets)
 
     def total_songs(self) -> int:
         """Total songs across all libraries (paper: ~400,000)."""
-        return int(self.library_sizes().sum())
+        return int(self.offsets[-1])
 
     def preferred_categories(self, user: NodeId) -> tuple[CategoryId, ...]:
         """Favorite first, then the secondaries, for ``user``."""
@@ -169,8 +213,12 @@ def generate_libraries(
         counts[:, 1:] = np.minimum(base[:, None] + odd, per_category)
 
     secondary: list[tuple[CategoryId, ...]] = []
-    libraries: list[frozenset[ItemId]] = []
-    ends = np.cumsum(counts.sum(axis=1))
+    offsets = np.zeros(cfg.n_users + 1, dtype=np.int64)
+    ends = offsets[1:]
+    np.cumsum(counts.sum(axis=1), out=ends)
+    if catalog.n_items > np.iinfo(np.int32).max:
+        raise WorkloadError(f"item ids must fit int32, catalog has {catalog.n_items} items")
+    songs = np.empty(int(offsets[-1]), dtype=np.int32)
     start = 0
     while start < cfg.n_users:
         begin = int(ends[start - 1]) if start else 0
@@ -188,17 +236,13 @@ def generate_libraries(
                 secs, np.argsort(np.take_along_axis(keys, secs, axis=1), axis=1), axis=1
             )
         secondary += [tuple(row) for row in secs.tolist()]
-        # Insertion order (favorite's songs first, each category's in draw
-        # order) fixes the set's iteration order, which the engine's
-        # indexes inherit.
+        # Draw order (favorite's songs first, each category's in draw order)
+        # is the CSR's order, and the iteration order of the frozensets
+        # ``UserLibraries.libraries`` builds from it.
         block = counts[start:stop].reshape(-1)
         items = catalog.popularity.sample_distinct_rows(rng, block)
         items += np.repeat(np.column_stack((fav, secs)).reshape(-1) * per_category, block)
-        flat = items.tolist()
-        a = 0
-        for b in (ends[start:stop] - begin).tolist():
-            libraries.append(frozenset(flat[a:b]))
-            a = b
+        songs[begin : begin + len(items)] = items
         start = stop
 
-    return UserLibraries(catalog, favorite, secondary, libraries)
+    return UserLibraries(catalog, favorite, secondary, songs, offsets)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fastpath import HolderIndex
 from repro.errors import WorkloadError
 from repro.rng import Draws
 from repro.types import HOUR, ItemId, NodeId
@@ -43,6 +44,10 @@ class QueryModel:
     exclude_local:
         If true (default), resample queries that hit the user's own library
         (up to ``max_resample`` times, then accept whatever was drawn).
+    holders:
+        The live item -> holder-set index local exclusion asks
+        (:class:`~repro.core.fastpath.HolderIndex`). The engine passes the
+        one its downloads grow; by default one is built over ``libraries``.
     """
 
     def __init__(
@@ -52,6 +57,7 @@ class QueryModel:
         favorite_probability: float = 0.5,
         exclude_local: bool = True,
         max_resample: int = 16,
+        holders: HolderIndex | None = None,
     ) -> None:
         if rate_per_hour <= 0:
             raise WorkloadError(f"rate_per_hour must be positive, got {rate_per_hour}")
@@ -65,6 +71,9 @@ class QueryModel:
         self.favorite_probability = favorite_probability
         self.exclude_local = exclude_local
         self.max_resample = max_resample
+        self.holders = (
+            holders if holders is not None else HolderIndex(libraries.items, libraries.offsets)
+        )
         self._mean_interarrival = HOUR / rate_per_hour
         # Read once per query: plain ints, not ndarray scalars.
         self._favorite: list[int] = np.asarray(libraries.favorite).tolist()
@@ -93,17 +102,19 @@ class QueryModel:
     ) -> ItemId:
         """The item the next query asks for (one song per query).
 
-        ``library`` overrides the holdings used for local-exclusion — engines
-        whose libraries grow over time (downloads) pass the live set.
+        Local exclusion asks ``library`` when one is given (any container of
+        the user's items), else the holder index: ``user in
+        holders.get(item)``, which sees every download the engine recorded.
         """
-        if library is None:
-            library = self.libraries.libraries[user]
         sample_category = self.sample_category
         sample_rank = self.catalog.popularity.sample
         item_at = self.catalog.item_at
+        holders_of = self.holders.get
         for _ in range(self.max_resample + 1):
             category = sample_category(user, rng)  # drawn before the rank: same stream
             item = item_at(category, sample_rank(rng))
-            if not self.exclude_local or item not in library:
+            if not self.exclude_local or (
+                user not in holders_of(item) if library is None else item not in library
+            ):
                 return item
         return item  # give up after max_resample tries; accept a local hit

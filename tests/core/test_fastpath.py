@@ -7,7 +7,8 @@ QueryOutcome the oracle returns — same results in the same order, same
 floats, same message and contact counts. These tests drive both
 implementations over randomized worlds built exactly as the engine builds
 them — a :class:`~repro.core.soa.NeighborTable` slab plus a
-:class:`~repro.core.fastpath.HolderIndex` — with the edge cases the BFS
+:class:`~repro.core.fastpath.HolderIndex` over a library CSR — with the
+edge cases the BFS
 rewrite is most likely to get wrong: isolated initiators, dense graphs full
 of duplicate deliveries, directed rows, holders at every level, hop limit
 1, slab padding past a row's degree, rows filled to the full stride, live
@@ -42,6 +43,21 @@ class _TableView:
 
     def link_delay(self, a, b):
         return self.delays[a][b]
+
+
+def _csr(libraries):
+    """``(items, offsets)`` of a list of per-node item sets, as the library
+    generator lays a population out."""
+    offsets = np.zeros(len(libraries) + 1, dtype=np.int64)
+    np.cumsum([len(library) for library in libraries], out=offsets[1:])
+    items = np.fromiter(
+        (item for library in libraries for item in library), dtype=np.int32, count=offsets[-1]
+    )
+    return items, offsets
+
+
+def _index(libraries):
+    return HolderIndex(*_csr(libraries))
 
 
 def _table(rows, stride):
@@ -84,7 +100,7 @@ def _build_world(n_nodes, edge_prob, holder_prob, n_items, seed, symmetric, padd
 
 
 def _agree(table, holdings, delays, max_hops, queries):
-    fastpath = FloodFastPath(table, HolderIndex(holdings), delays, max_hops)
+    fastpath = FloodFastPath(table, _index(holdings), delays, max_hops)
     view = _TableView(table, holdings, delays)
     for initiator, item in queries:
         assert fastpath.search(initiator, item, issued_at=3.5) == generic_search(
@@ -161,7 +177,7 @@ def test_fastpath_dense_duplicate_heavy(seed, max_hops):
 def test_empty_neighborhood():
     """An isolated initiator: zero messages, zero contacts, no results."""
     table, holdings, delays = _build_world(3, 0.0, 1.0, 1, 0, True)
-    fastpath = FloodFastPath(table, HolderIndex(holdings), delays, 2)
+    fastpath = FloodFastPath(table, _index(holdings), delays, 2)
     outcome = fastpath.search(0, 0)
     assert outcome.messages == 0
     assert outcome.nodes_contacted == 0
@@ -175,7 +191,7 @@ def test_live_rows_track_mutation():
     """The kernel sees NeighborTable mutations with no rebuild."""
     table = NeighborTable(3, 2)
     delays = [[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]]
-    fastpath = FloodFastPath(table, HolderIndex([set(), set(), {7}]), delays, 2)
+    fastpath = FloodFastPath(table, _index([set(), set(), {7}]), delays, 2)
     assert fastpath.search(0, 7).messages == 0
 
     table.add(0, 1)
@@ -210,7 +226,7 @@ def test_live_mutations_match_reference(n_nodes, stride, seed, max_hops, ops):
     table = NeighborTable(n_nodes, stride)
     holdings = [{int(rng.integers(3))} for _ in range(n_nodes)]
     delays = _delays(rng, n_nodes)
-    fastpath = FloodFastPath(table, HolderIndex(holdings), delays, max_hops)
+    fastpath = FloodFastPath(table, _index(holdings), delays, max_hops)
     view = _TableView(table, holdings, delays)
     for op, a, b in ops:
         a, b = a % n_nodes, b % n_nodes
@@ -227,19 +243,20 @@ def test_live_mutations_match_reference(n_nodes, stride, seed, max_hops, ops):
 
 
 def test_add_holder_updates_index():
-    """add_holder mirrors a library mutation into the inverted index."""
+    """A download recorded in the index reaches the kernel's next query."""
     table = _table([[1], [0]], 1)
     holdings = [set(), set()]
     delays = [[0.0, 0.5], [0.5, 0.0]]
-    fastpath = FloodFastPath(table, HolderIndex(holdings), delays, 2)
+    index = _index(holdings)
+    fastpath = FloodFastPath(table, index, delays, 2)
     assert not fastpath.search(0, 3).hit
 
     holdings[1].add(3)
-    fastpath.add_holder(1, 3)
+    index.add_holder(1, 3)
     outcome = fastpath.search(0, 3)
     assert outcome.hit and outcome.results[0].responder == 1
     # Idempotent, like set.add.
-    fastpath.add_holder(1, 3)
+    index.add_holder(1, 3)
     assert fastpath.search(0, 3) == outcome._replace()
 
 
@@ -257,13 +274,14 @@ def test_add_holder_before_and_after_first_query(params, ops):
     including items nobody held at construction."""
     table, holdings, delays = _build_world(*params)
     n_nodes, n_items = params[0], params[3]
-    fastpath = FloodFastPath(table, HolderIndex(holdings), delays, 3)
+    index = _index(holdings)
+    fastpath = FloodFastPath(table, index, delays, 3)
     view = _TableView(table, holdings, delays)
     for is_add, node_pick, item_pick in ops:
         node, item = node_pick % n_nodes, item_pick % (n_items + 1)
         if is_add:
             holdings[node].add(item)
-            fastpath.add_holder(node, item)
+            index.add_holder(node, item)
         else:
             assert fastpath.search(node, item) == generic_search(
                 view, node, item, TTLTermination(3)
@@ -274,11 +292,11 @@ def test_constructor_validation():
     table = NeighborTable(2, 1)
     delays = [[0.0, 0.1], [0.1, 0.0]]
     with pytest.raises(ValueError, match="same node population"):
-        FloodFastPath(table, HolderIndex([set()]), delays, 2)
+        FloodFastPath(table, _index([set()]), delays, 2)
     with pytest.raises(ValueError, match="same node population"):
-        FloodFastPath(table, HolderIndex([set(), set()]), [[0.0]], 2)
+        FloodFastPath(table, _index([set(), set()]), [[0.0]], 2)
     with pytest.raises(ValueError, match="max_hops"):
-        FloodFastPath(table, HolderIndex([set(), set()]), delays, 0)
+        FloodFastPath(table, _index([set(), set()]), delays, 0)
 
 
 def test_explicit_max_hops_overrides_default():
@@ -286,7 +304,7 @@ def test_explicit_max_hops_overrides_default():
     table = _table([[1], [0, 2], [1, 3], [2]], 2)
     holdings = [set(), set(), set(), {1}]
     delays = [[0.05 * (a != b) for b in range(4)] for a in range(4)]
-    fastpath = FloodFastPath(table, HolderIndex(holdings), delays, 2)
+    fastpath = FloodFastPath(table, _index(holdings), delays, 2)
     assert not fastpath.search(0, 1).hit
     assert fastpath.search(0, 1, max_hops=3).hit
     view = _TableView(table, holdings, delays)
@@ -297,47 +315,59 @@ def test_explicit_max_hops_overrides_default():
 
 
 # ---------------------------------------------------------------------------
-# HolderIndex.get against the body it replaced
+# HolderIndex against a dict-of-sets oracle
 # ---------------------------------------------------------------------------
-def reference_holder_get(index, item):
-    """``HolderIndex.get`` through the ``np.searchsorted`` wrapper and ``int()``."""
-    members = index._cache.get(item)
-    if members is None:
-        lo = int(np.searchsorted(index._item_ids, item, side="left"))
-        hi = int(np.searchsorted(index._item_ids, item, side="right"))
-        members = set(index._owners[lo:hi].tolist())
-        extra = index._extra.pop(item, None)
-        if extra is not None:
-            members.update(extra)
-        index._cache[item] = members
-    return members
+class OracleHolders:
+    """The holdings as a plain dict, item -> set of holders, grown in place
+    by downloads."""
+
+    def __init__(self, libraries):
+        self.holders = {}
+        for node, library in enumerate(libraries):
+            for item in library:
+                self.holders.setdefault(item, set()).add(node)
+
+    def get(self, item):
+        return self.holders.get(item, set())
+
+    def add_holder(self, node, item):
+        self.holders.setdefault(item, set()).add(node)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    libraries=st.lists(st.frozensets(st.integers(0, 11), max_size=6), min_size=1, max_size=8),
+    # Lists, not sets: a CSR row is one user's songs in draw order, each once.
+    libraries=st.lists(
+        st.lists(st.integers(0, 11), max_size=6, unique=True), min_size=1, max_size=8
+    ),
     ops=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 7), st.integers(-1, 13)), max_size=40
+        st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 16)), max_size=40
     ),
 )
 def test_holder_index_get_matches_reference(libraries, ops):
-    """Same sets from the same histories: holders added before an item's
-    first ``get`` (the overflow list) and after it (the cached set), items
-    nobody holds, items beyond both ends of the sorted id column."""
-    index, reference = HolderIndex(libraries), HolderIndex(libraries)
-    truth = {}
-    for node, library in enumerate(libraries):
-        for item in library:
-            truth.setdefault(item, set()).add(node)
+    """Same sets from the same histories: empty libraries, items nobody holds,
+    ids past the largest held item, and holders added before an item's first
+    ``get`` (the overflow list) and after it (the cached set)."""
+    index, oracle = HolderIndex(*_csr(libraries)), OracleHolders(libraries)
+    assert len(index) == len(libraries)
     for is_add, node, item in ops:
         if is_add:
             node %= len(libraries)
             index.add_holder(node, item)
-            reference.add_holder(node, item)
-            truth.setdefault(item, set()).add(node)
+            oracle.add_holder(node, item)
         else:
             got = index.get(item)
-            assert got == reference_holder_get(reference, item) == truth.get(item, set())
+            assert got == oracle.get(item)
             assert all(type(member) is int for member in got)
             assert index.get(item) is got  # materialized once, then live
-    assert index.items_cached == reference.items_cached
+    for item in range(18):
+        assert index.get(item) == oracle.get(item)
+
+
+def test_holder_sets_share_node_ids():
+    """A cached set holds the index's own node-id ints, not fresh copies
+    (ids past 256 are not interned by CPython)."""
+    index = HolderIndex(*_csr([[]] * 300 + [[4], [4, 7]]))
+    assert index.get(4) == {300, 301} and index.get(7) == {301}
+    for held in index.get(4):
+        assert held is index._node_ids[held]

@@ -77,8 +77,8 @@ class TestReplyRouting:
             engine.bootstrap.join(node)
         engine.protocol.link(0, 1)
         engine.protocol.link(1, 2)
-        item = next(iter(engine.live_libraries[2] - engine.live_libraries[1] -
-                         engine.live_libraries[0]))
+        libs = engine.libraries.libraries
+        item = next(iter(libs[2] - libs[1] - libs[0]))
         # Issue the query directly.
         engine.query_model.sample_item = lambda *a, **k: item
         engine._fire_query(0, engine.peers[0].query_epoch)
@@ -102,8 +102,8 @@ class TestReplyRouting:
         engine.protocol.link(0, 2)
         engine.protocol.link(1, 3)
         engine.protocol.link(2, 3)
-        item = next(iter(engine.live_libraries[3] - engine.live_libraries[1] -
-                         engine.live_libraries[2] - engine.live_libraries[0]))
+        libs = engine.libraries.libraries
+        item = next(iter(libs[3] - libs[1] - libs[2] - libs[0]))
         engine.query_model.sample_item = lambda *a, **k: item
         engine._fire_query(0, engine.peers[0].query_epoch)
         engine.sim.run(until=500.0)
@@ -124,8 +124,8 @@ class TestReplyRouting:
             engine.bootstrap.join(node)
         engine.protocol.link(0, 1)
         engine.protocol.link(1, 2)
-        item = next(iter(engine.live_libraries[2] - engine.live_libraries[1] -
-                         engine.live_libraries[0]))
+        libs = engine.libraries.libraries
+        item = next(iter(libs[2] - libs[1] - libs[0]))
         engine.query_model.sample_item = lambda *a, **k: item
         engine._fire_query(0, engine.peers[0].query_epoch)
         # Kill the relay before the forward leg even reaches it? No — after

@@ -123,19 +123,24 @@ class TestDeterminism:
         assert (a.queries.counts == b.queries.counts).all()
 
 
+def library_entries(engine):
+    """(node, item) pairs in the engine's live holder index."""
+    return sum(len(engine.holders.get(item)) for item in range(engine.config.n_items))
+
+
 class TestDownloads:
     def test_libraries_grow_with_downloads(self):
         engine = FastGnutellaEngine(small_config(downloads_grow_libraries=True))
-        before = sum(len(s) for s in engine.live_libraries)
+        before = library_entries(engine)
         metrics = engine.run()
-        after = sum(len(s) for s in engine.live_libraries)
+        after = library_entries(engine)
         assert after - before == metrics.total_hits
 
     def test_libraries_static_without_downloads(self):
         engine = FastGnutellaEngine(small_config(downloads_grow_libraries=False))
-        before = sum(len(s) for s in engine.live_libraries)
+        before = library_entries(engine)
         engine.run()
-        assert sum(len(s) for s in engine.live_libraries) == before
+        assert library_entries(engine) == before
 
 
 class TestStatsPolicies:

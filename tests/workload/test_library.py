@@ -9,7 +9,8 @@ from repro.errors import WorkloadError
 from repro.gnutella.config import GnutellaConfig
 from repro.rng import RngStreams
 from repro.workload.catalog import MusicCatalog
-from repro.workload.library import LibraryConfig, generate_libraries
+from repro.workload.library import _BLOCK_SONGS, LibraryConfig, generate_libraries
+from repro.workload.zipf import ZipfSampler
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +194,69 @@ class TestEdgeCases:
             fav = int(pop.favorite[user])
             for item in pop.libraries[user]:
                 assert catalog.category_of(item) == fav
+
+
+def reference_generate_libraries(catalog, rng, cfg):
+    """The generator as it was before the CSR layout: one frozenset per user,
+    built from the block's draws in insertion order. Returns the libraries."""
+    category_sampler = ZipfSampler(catalog.n_categories, cfg.user_category_theta)
+    favorite = category_sampler.sample(rng, size=cfg.n_users)
+    sizes = np.clip(
+        np.rint(rng.normal(cfg.mean_size, cfg.std_size, size=cfg.n_users)), cfg.min_size, None
+    ).astype(np.int64)
+    sizes = np.minimum(sizes, (1 + cfg.n_secondary) * catalog.items_per_category)
+    per_category = catalog.items_per_category
+    counts = np.zeros((cfg.n_users, 1 + cfg.n_secondary), dtype=np.int64)
+    counts[:, 0] = np.minimum(np.rint(sizes * cfg.favorite_fraction), per_category)
+    if cfg.n_secondary > 0:
+        base, extra = np.divmod(sizes - counts[:, 0], cfg.n_secondary)
+        odd = np.arange(cfg.n_secondary) < extra[:, None]
+        counts[:, 1:] = np.minimum(base[:, None] + odd, per_category)
+    libraries = []
+    ends = np.cumsum(counts.sum(axis=1))
+    start = 0
+    while start < cfg.n_users:
+        begin = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, begin + _BLOCK_SONGS, side="right")))
+        fav = favorite[start:stop]
+        secs = np.empty((stop - start, 0), dtype=np.int64)
+        if cfg.n_secondary:
+            keys = rng.random((stop - start, catalog.n_categories))
+            keys[np.arange(stop - start), fav] = np.inf
+            secs = np.argpartition(keys, cfg.n_secondary - 1, axis=1)[:, : cfg.n_secondary]
+            secs = np.take_along_axis(
+                secs, np.argsort(np.take_along_axis(keys, secs, axis=1), axis=1), axis=1
+            )
+        block = counts[start:stop].reshape(-1)
+        items = catalog.popularity.sample_distinct_rows(rng, block)
+        items += np.repeat(np.column_stack((fav, secs)).reshape(-1) * per_category, block)
+        flat = items.tolist()
+        a = 0
+        for b in (ends[start:stop] - begin).tolist():
+            libraries.append(frozenset(flat[a:b]))
+            a = b
+        start = stop
+    return libraries
+
+
+@pytest.mark.parametrize(
+    "n_users,n_items,n_secondary", [(300, 30_000, 5), (40, 600, 0), (1, 100, 2)]
+)
+def test_csr_slices_equal_reference_frozensets(n_users, n_items, n_secondary):
+    """Each user's CSR slice, as a frozenset, is the set the per-user
+    generator built from the same stream, in the same iteration order (a
+    300-user population spans two draw blocks)."""
+    catalog = MusicCatalog(n_items=n_items, n_categories=10)
+    cfg = LibraryConfig(n_users=n_users, n_secondary=n_secondary)
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    pop = generate_libraries(catalog, rng, cfg)
+    reference = reference_generate_libraries(catalog, twin, cfg)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert pop.items.dtype == np.int32 and len(pop.offsets) == n_users + 1
+    assert pop.total_songs() == sum(map(len, reference)) == len(pop.items)
+    for user, expected in enumerate(reference):
+        lo, hi = pop.offsets[user], pop.offsets[user + 1]
+        got = frozenset(pop.items[lo:hi].tolist())
+        assert got == expected and list(got) == list(expected)
+        assert list(pop.libraries[user]) == list(expected)
+    assert list(pop.library_sizes()) == [len(lib) for lib in reference]
