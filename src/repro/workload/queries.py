@@ -47,7 +47,9 @@ class QueryModel:
     holders:
         The live item -> holder-set index local exclusion asks
         (:class:`~repro.core.fastpath.HolderIndex`). The engine passes the
-        one its downloads grow; by default one is built over ``libraries``.
+        one its downloads grow. The default, an index built over
+        ``libraries``, serves standalone use of the model, as in the
+        workload tests; no engine relies on it.
     """
 
     def __init__(

@@ -341,15 +341,16 @@ class OracleHolders:
         st.lists(st.integers(0, 11), max_size=6, unique=True), min_size=1, max_size=8
     ),
     ops=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 16)), max_size=40
+        st.tuples(st.booleans(), st.integers(0, 7), st.integers(-3, 16)), max_size=40
     ),
 )
 def test_holder_index_get_matches_reference(libraries, ops):
     """Same sets from the same histories: empty libraries, items nobody holds,
-    ids past the largest held item, and holders added before an item's first
-    ``get`` (the overflow list) and after it (the cached set)."""
+    ids below zero and past the largest held item, and holders added before an
+    item's first ``get`` (the overflow list) and after it (the cached set)."""
     index, oracle = HolderIndex(*_csr(libraries)), OracleHolders(libraries)
     assert len(index) == len(libraries)
+    asked = set()
     for is_add, node, item in ops:
         if is_add:
             node %= len(libraries)
@@ -357,11 +358,14 @@ def test_holder_index_get_matches_reference(libraries, ops):
             oracle.add_holder(node, item)
         else:
             got = index.get(item)
+            asked.add(item)
             assert got == oracle.get(item)
             assert all(type(member) is int for member in got)
             assert index.get(item) is got  # materialized once, then live
-    for item in range(18):
+    assert index.items_cached == len(asked)
+    for item in range(-3, 18):
         assert index.get(item) == oracle.get(item)
+    assert index.items_cached == 21
 
 
 def test_holder_sets_share_node_ids():
