@@ -1,30 +1,9 @@
-"""Canonical macro-benchmark trajectory (the ``repro-bench`` CLI).
+"""Measurement helpers shared by the repo benchmark (``benchmarks/e2e``).
 
-This package is the repository's performance ledger: one command runs the
-canonical kernel micro-benchmarks and figure-scale smoke simulations and
-writes a ``BENCH_<rev>.json`` snapshot at the invocation directory, so the
-hot-path numbers travel with the history and regressions are diffable
-revision to revision.
-
-It also carries the fast-path **digest gate**: a ``fast`` and a
-``fast-reference`` run of the same configuration must produce bit-identical
-event-stream SHA-256 digests (:func:`repro.lint.sanitize.run_hashed`), or
-the CLI exits non-zero — CI runs ``repro-bench --smoke`` on every push.
+* :mod:`repro.bench.host` — which machine produced a measurement;
+* :mod:`repro.bench.scale` — the large-population tier configurations and
+  ``python -m repro.bench.scale``, which prints the README's scale table.
 
 Unlike everything under the deterministic simulation packages, this package
 may read wall clocks; it exists to measure them.
 """
-
-from repro.bench.cli import main
-from repro.bench.kernels import KernelReport, run_kernels
-from repro.bench.macro import DigestGateReport, FigureReport, digest_gate, figure_smoke
-
-__all__ = [
-    "DigestGateReport",
-    "FigureReport",
-    "KernelReport",
-    "digest_gate",
-    "figure_smoke",
-    "main",
-    "run_kernels",
-]

@@ -1,14 +1,13 @@
-"""Host provenance for bench snapshots: which machine produced the numbers?
+"""Host provenance: which machine produced the numbers?
 
-Timings in a ``BENCH_<rev>.json`` are only as comparable as the hosts that
-produced them; a snapshot from a laptop judged against one from a CI
-runner is noise wearing a verdict. :func:`host_provenance` captures the
-minimal identity the comparator needs — CPU model, logical core count,
-platform string — and ``repro-bench compare`` warns (without refusing to
-judge: cross-host trends are still worth *seeing*) when they differ.
+Timings are only as comparable as the hosts that produced them; a run on a
+laptop judged against one on a CI runner is noise wearing a verdict.
+:func:`host_provenance` captures the minimal identity a reader needs — CPU
+model, logical core count, platform string — and the repo benchmark
+(``benchmarks/e2e``) stamps it on every result.
 
 Everything here degrades gracefully: ``/proc/cpuinfo`` is Linux-only, so
-missing sources yield ``"unknown"`` rather than an exception — a snapshot
+missing sources yield ``"unknown"`` rather than an exception — a result
 must never fail to write because the host is exotic.
 """
 

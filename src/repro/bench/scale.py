@@ -1,12 +1,17 @@
 """Large-population scale tiers: the engine at 10k-100k peers.
 
-The kernel and figure benches (:mod:`repro.bench.kernels`,
-:mod:`repro.bench.macro`) measure the paper-scale regime. This module
-measures the ROADMAP's scaling goal directly: short-horizon micro-runs of
-the full dynamic engine at 10k / 50k / 100k users, reporting per-tier
-wall-clock split (setup vs run), kernel events per second, and peak RSS —
-the numbers that tell you whether the struct-of-arrays core and the lazy
-delay regime actually hold up, not just whether they pass tests.
+The repo benchmark (``benchmarks/e2e``) measures the paper-scale regime and
+one 20,000-peer world. This module measures the ROADMAP's scaling goal
+directly: short-horizon runs of the full dynamic engine at 10k / 50k /
+100k users, reporting per-tier wall-clock split (setup vs run), kernel
+events per second, and peak RSS — the numbers that tell you whether the
+struct-of-arrays core and the lazy delay regime actually hold up, not just
+whether they pass tests. Print the README's scale table with::
+
+    python -m repro.bench.scale 10000 50000
+
+one JSON row per tier. ``tests/test_scale_pin.py`` pins the 10k tier's
+event-stream digest on both engines.
 
 Tier configs scale the catalog with the population (items = 20 x users)
 so per-song replication stays constant (~2.5 copies), keeping query-hit
@@ -14,27 +19,20 @@ behaviour comparable across tiers; the horizon is 2 simulated hours — long
 enough to cover login storms, reconfiguration churn, and steady-state
 querying, short enough that a 100k tier finishes in minutes.
 
-Each tier can also run the digest gate at its own scale: a hashed ``fast``
-run against a hashed ``fast-reference`` run. Above the lazy-delay threshold
-both regimes draw per-pair delays with order-independent keyed streams
-(:mod:`repro.net.latency`), which is exactly what keeps this gate valid
-where the O(n^2) matrix cannot exist. The reference engine is a constant
-factor slower, so the gate defaults to the 10k tier and below
-(``digest_max_users``); larger tiers report timing only.
-
 Peak RSS comes from ``resource.getrusage`` and is a *process-lifetime
 maximum*: run tiers in ascending size (``run_scale_tiers`` sorts them) so
-each tier's reading is dominated by its own footprint, and read small-tier
-numbers from a snapshot produced by a small-tier-only invocation when
-memory precision matters.
+each tier's reading is dominated by its own footprint, and run one tier
+per process when memory precision matters.
 """
 
 from __future__ import annotations
 
+import json
 import resource
+import sys
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.gnutella.config import GnutellaConfig
@@ -43,17 +41,15 @@ from repro.types import HOUR
 __all__ = [
     "DEFAULT_SCALE_TIERS",
     "ScaleTierReport",
+    "main",
     "run_scale_tier",
     "run_scale_tiers",
     "scale_config",
 ]
 
 #: Default tier populations (users). 100k is deliberately absent: it runs in
-#: minutes but CI budgets are tight — pass it explicitly for snapshot runs.
+#: minutes — pass it explicitly.
 DEFAULT_SCALE_TIERS = (10_000, 50_000)
-
-#: Tiers at or below this size also run the fast-vs-reference digest gate.
-DEFAULT_DIGEST_MAX_USERS = 10_000
 
 
 def _peak_rss_mb() -> float:
@@ -85,13 +81,8 @@ def scale_config(n_users: int, seed: int = 0) -> GnutellaConfig:
 
 @dataclass(frozen=True, slots=True)
 class ScaleTierReport:
-    """One tier's measurements, in ``repro-bench compare`` vocabulary.
-
-    ``*_seconds`` are judged lower-is-better, ``events_per_sec``
-    higher-is-better, ``peak_rss_mb`` lower-is-better; the remaining fields
-    are workload parameters / deterministic outcomes (same seed => same
-    values), which the comparator requires to match between snapshots.
-    """
+    """One tier's measurements: wall-clock columns plus the deterministic
+    outcomes (same seed => same events, queries and hits)."""
 
     n_users: int
     n_items: int
@@ -104,79 +95,25 @@ class ScaleTierReport:
     queries: int
     hits: int
     peak_rss_mb: float
-    #: 1 = gate ran and matched, 0 = gate ran and failed; omitted from the
-    #: dict when the gate was skipped at this tier.
-    digest_match: bool | None = None
-    fast_digest: str | None = None
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-ready rendering for the snapshot's ``scale`` block."""
-        out: dict[str, Any] = {
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "horizon_hours": self.horizon_hours,
-            "setup_seconds": self.setup_seconds,
-            "run_seconds": self.run_seconds,
-            "wall_seconds": self.wall_seconds,
-            "events_executed": self.events_executed,
-            "events_per_sec": self.events_per_sec,
-            "queries": self.queries,
-            "hits": self.hits,
-            "peak_rss_mb": self.peak_rss_mb,
-        }
-        if self.digest_match is not None:
-            out["digest_match"] = self.digest_match
-            out["fast_digest"] = self.fast_digest
-        return out
 
 
-def run_scale_tier(
-    n_users: int,
-    *,
-    seed: int = 0,
-    engine: str = "fast",
-    digest_check: bool = False,
-    log: Callable[[str], None] | None = None,
-) -> ScaleTierReport:
-    """Run one tier: a timed run, plus the per-scale digest gate if asked.
+def run_scale_tier(n_users: int, *, seed: int = 0) -> ScaleTierReport:
+    """Build and run one tier on the ``fast`` engine, timed.
 
-    The timed run is unhashed (hashing costs a ``stable_repr`` per event and
-    would pollute the throughput numbers); the digest gate re-runs the same
-    config hashed on ``fast`` and ``fast-reference``. Nothing is attached
-    to the engine, so the timed loop is the one every simulation runs.
+    Nothing is attached to the engine, so the timed loop is the one every
+    simulation runs.
     """
     from repro.gnutella.simulation import build_engine
 
     config = scale_config(n_users, seed)
     t0 = time.perf_counter()
-    eng = build_engine(config, engine)
+    eng = build_engine(config, "fast")
     t1 = time.perf_counter()
     metrics = eng.run()
     t2 = time.perf_counter()
     setup_seconds = t1 - t0
     run_seconds = t2 - t1
     events = eng.sim.events_executed
-    events_per_sec = events / run_seconds if run_seconds > 0 else 0.0
-    peak_rss = _peak_rss_mb()
-    if log is not None:
-        log(
-            f"scale {n_users}: setup {setup_seconds:.1f}s, run {run_seconds:.1f}s, "
-            f"{events} events ({events_per_sec:.0f}/s), "
-            f"peak RSS {peak_rss:.0f} MiB"
-        )
-
-    digest_match: bool | None = None
-    fast_digest: str | None = None
-    if digest_check:
-        from repro.lint.sanitize import run_hashed
-
-        _, fast_digest = run_hashed(config, "fast", sanitize=False)
-        _, reference_digest = run_hashed(config, "fast-reference", sanitize=False)
-        digest_match = fast_digest == reference_digest
-        if log is not None:
-            verdict = "match" if digest_match else "MISMATCH"
-            log(f"scale {n_users}: digest gate {verdict} ({fast_digest[:16]}...)")
-
     return ScaleTierReport(
         n_users=config.n_users,
         n_items=config.n_items,
@@ -185,22 +122,15 @@ def run_scale_tier(
         run_seconds=run_seconds,
         wall_seconds=setup_seconds + run_seconds,
         events_executed=events,
-        events_per_sec=events_per_sec,
+        events_per_sec=events / run_seconds if run_seconds > 0 else 0.0,
         queries=metrics.total_queries,
         hits=metrics.total_hits,
-        peak_rss_mb=peak_rss,
-        digest_match=digest_match,
-        fast_digest=fast_digest,
+        peak_rss_mb=_peak_rss_mb(),
     )
 
 
 def run_scale_tiers(
-    tiers: Sequence[int] = DEFAULT_SCALE_TIERS,
-    *,
-    seed: int = 0,
-    engine: str = "fast",
-    digest_max_users: int = DEFAULT_DIGEST_MAX_USERS,
-    log: Callable[[str], None] | None = None,
+    tiers: Sequence[int] = DEFAULT_SCALE_TIERS, *, seed: int = 0
 ) -> dict[str, ScaleTierReport]:
     """Run every tier, smallest first; returns ``{"10000": report, ...}``.
 
@@ -210,13 +140,19 @@ def run_scale_tiers(
     """
     if not tiers:
         raise ConfigurationError("at least one scale tier is required")
-    reports: dict[str, ScaleTierReport] = {}
-    for n_users in sorted(set(int(t) for t in tiers)):
-        reports[str(n_users)] = run_scale_tier(
-            n_users,
-            seed=seed,
-            engine=engine,
-            digest_check=n_users <= digest_max_users,
-            log=log,
-        )
-    return reports
+    return {
+        str(n_users): run_scale_tier(n_users, seed=seed)
+        for n_users in sorted(set(int(t) for t in tiers))
+    }
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """``python -m repro.bench.scale [N_USERS ...]``: one JSON row per tier."""
+    tiers = [int(arg) for arg in (sys.argv[1:] if argv is None else argv)]
+    for report in run_scale_tiers(tiers or DEFAULT_SCALE_TIERS).values():
+        print(json.dumps(asdict(report)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

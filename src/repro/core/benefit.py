@@ -89,7 +89,8 @@ class BandwidthShareBenefit:
 class HitCountBenefit:
     """One point per result, regardless of provenance.
 
-    The simplest possible ledger; the ablation bench compares it against
+    The simplest possible ledger; the benefit ablation
+    (``tests/experiments/test_ablations.py``) compares it against
     ``B / R`` to show why the paper weighs results.
     """
 

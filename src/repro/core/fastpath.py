@@ -46,8 +46,7 @@ oracle. The fast path is an optimization, not a semantics change: for every
 results in the same order, same message and contact counts, and delays
 accumulated in the same floating-point order. ``tests/core/test_fastpath.py``
 asserts this property over randomized topologies, and the engine-level
-digest-equality tests (and the ``repro-bench`` CI gate) assert it end to end
-over whole simulations.
+digest-equality tests assert it end to end over whole simulations.
 """
 
 from __future__ import annotations

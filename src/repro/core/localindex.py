@@ -4,8 +4,8 @@ Yang & Garcia-Molina's third technique (Section 2): "each node maintains an
 index over the data of all peers within r hops of itself, allowing each
 search to terminate after (depth - r) hops". The paper notes the technique is
 orthogonal to dynamic reconfiguration and can be employed in the framework;
-we provide it as an optional accelerator (and an ablation bench measures what
-it buys).
+we provide it as an optional accelerator (``examples/strategy_comparison.py``
+measures what it buys).
 
 The index maps item -> set of holders within radius. It must be refreshed as
 the neighborhood rewires; ``rebuild`` walks the current topology.

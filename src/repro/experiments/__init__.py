@@ -17,7 +17,7 @@ Run from the command line::
 
 Presets (see :mod:`.common`): ``paper`` is the full Section 4.2 scale,
 ``scaled`` preserves the figures' shapes at laptop runtimes, ``smoke`` is for
-tests and benchmarks.
+tests.
 """
 
 from repro.experiments import figure1, figure2, figure3a, figure3b

@@ -6,7 +6,7 @@ population must keep the TTL-4 flood (≤ 160 nodes) well below the online
 count or the static baseline saturates availability and every comparison
 compresses. ``scaled`` (600 users / 300 online) preserves all figure shapes
 in ~minutes; ``paper`` is the full Section 4.2 parameterization; ``smoke``
-exists for tests and pytest-benchmark.
+exists for tests.
 """
 
 from __future__ import annotations

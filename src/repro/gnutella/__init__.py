@@ -16,8 +16,8 @@ Two engines implement the same protocol:
   experiments use.
 * :mod:`~repro.gnutella.detailed` — every query/reply/invite/evict is an
   individually scheduled message. Used to validate the fast engine
-  (cross-engine agreement is asserted in the test suite and quantified in
-  an ablation bench).
+  (cross-engine agreement is asserted in
+  ``tests/gnutella/test_cross_engine.py``).
 """
 
 from repro.gnutella.asymmetric import AsymmetricFastEngine, service_gini

@@ -9,8 +9,9 @@ dynamic Gnutella where every node rewires its outgoing list unilaterally
 (no invitations, unbounded incoming lists) — so the claim can be measured
 rather than assumed.
 
-What to expect (asserted in the bench): comparable or better hit rates (no
-slot contention: everyone can point at the best suppliers), but a sharply
+What to expect (asserted in ``tests/experiments/test_ablations.py``):
+comparable or better hit rates (no slot contention: everyone can point at
+the best suppliers), but a sharply
 skewed *service load* — the well-stocked nodes serve a hugely
 disproportionate share of results while receiving nothing in return, which
 is exactly the free-riding imbalance the paper designs the symmetric

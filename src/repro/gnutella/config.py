@@ -51,7 +51,7 @@ class GnutellaConfig:
         neighbor is exchanged during each reconfiguration", Section 4.3),
         which preserves neighborhood diversity; ``None`` applies the full
         Algo 5 list swap in one shot (kept as an ablation — it collapses
-        reach and is measurably worse, see the ablation bench).
+        reach and is measurably worse, see EXPERIMENTS.md).
     swap_margin:
         Hysteresis for evicting a connected neighbor: a challenger must have
         accumulated more than ``(1 + swap_margin)`` times the incumbent's
@@ -81,7 +81,8 @@ class GnutellaConfig:
         dynamic scheme — producing the paper's gently rising hit curves and
         the strong hop-1 absorption behind its message savings. The paper
         does not state this explicitly, but its figures are hard to produce
-        without it (an ablation bench quantifies the difference).
+        without it (``tests/experiments/test_ablations.py`` checks it does not
+        hurt).
     search_strategy:
         How nodes pick forwarding targets. ``"flood"`` is the paper's
         protocol (send to every neighbor except the sender). The Section 2
@@ -95,7 +96,7 @@ class GnutellaConfig:
         Benefit-function choice: ``"bandwidth-share"`` is the paper's
         ``B/R`` (Section 4.1(i)); ``"hit-count"`` scores every result 1;
         ``"latency"`` scores inverse first-result delay. Kept pluggable for
-        the benefit ablation bench.
+        the benefit ablation (``tests/experiments/test_ablations.py``).
     exploration_interval:
         When set (seconds), each online dynamic peer periodically issues a
         metadata-only exploration probe (Algo 2) about items from its
@@ -111,7 +112,7 @@ class GnutellaConfig:
         the next invitation or threshold crossing, but that deferral keeps
         average degree depressed and costs the dynamic scheme more reach
         than reconfiguration gains — the deferred variant is kept as an
-        ablation (see the ablation bench and EXPERIMENTS.md).
+        ablation (see ``tests/experiments/test_ablations.py`` and EXPERIMENTS.md).
     message_loss_rate:
         Detailed engine only: probability that any individual message (query
         copy or reply hop) is lost in transit. Failure injection for

@@ -15,8 +15,7 @@ instantaneous — it is the paper's query measurements that the timing detail
 can affect, and the cross-engine tests quantify how little it does.
 
 Use this engine for validation at small scale; it is O(messages) in kernel
-events and roughly an order of magnitude slower than the fast engine (the
-ablation bench measures the exact ratio).
+events and roughly an order of magnitude slower than the fast engine.
 """
 
 from __future__ import annotations

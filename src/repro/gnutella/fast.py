@@ -89,8 +89,7 @@ class FastGnutellaEngine:
         case-study configuration). ``False`` forces every query through the
         reference :func:`~repro.core.search.generic_search`; outcomes — and
         therefore same-seed event-stream digests — are bit-identical either
-        way, which the digest-equality tests and the ``repro-bench`` CI gate
-        assert.
+        way, which the digest-equality tests assert.
     eager_delay_matrix:
         Build the full pairwise delay matrix up front (canonical vectorized
         draws; see :meth:`repro.net.latency.LatencyModel.delay_matrix`). The

@@ -3,7 +3,7 @@
 Simulated time is the paper's subject; *wall* time is the reproduction's
 cost. :class:`PhaseTimers` accumulates named wall-clock phases — engine
 setup / run / teardown, each orchestrator task — and renders them as a
-JSON-ready dict for run manifests and ``BENCH_*.json`` snapshots.
+JSON-ready dict for run manifests.
 
 Phases are taken *around* the engine, never inside it: nothing is attached
 to the kernel or the flood search, so timing changes no simulated event,

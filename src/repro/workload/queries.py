@@ -8,8 +8,9 @@ requested by a query to one."
 
 The paper leaves the absolute rate unstated; it is a parameter here
 (``rate_per_hour``), calibrated in :mod:`repro.experiments.common` so that
-static Gnutella's hit/message volumes land in the paper's ranges. An ablation
-bench verifies the dynamic-vs-static comparison is insensitive to it.
+static Gnutella's hit/message volumes land in the paper's ranges.
+``tests/experiments/test_ablations.py`` checks the dynamic-vs-static ordering
+holds across a 4x range of it.
 
 Queried songs are drawn by category popularity. By default a user does not
 query for a song already in their own library (a local hit would bypass the

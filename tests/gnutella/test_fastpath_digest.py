@@ -10,6 +10,7 @@ libraries — every knob that feeds back search outcomes into the world.
 
 import pytest
 
+from repro.experiments.common import preset_config
 from repro.gnutella import FastGnutellaEngine, GnutellaConfig
 from repro.lint.sanitize import run_hashed
 from repro.types import HOUR
@@ -33,27 +34,27 @@ def small_config(**overrides):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "config",
     [
-        pytest.param({"dynamic": False}, id="static-ttl2"),
-        pytest.param({"dynamic": True}, id="dynamic-ttl2"),
-        pytest.param({"dynamic": False, "max_hops": 4, "seed": 21}, id="static-ttl4"),
+        pytest.param(small_config(dynamic=False), id="static-ttl2"),
+        pytest.param(small_config(dynamic=True), id="dynamic-ttl2"),
+        pytest.param(small_config(dynamic=False, max_hops=4, seed=21), id="static-ttl4"),
         pytest.param(
-            {"dynamic": True, "downloads_grow_libraries": True, "seed": 3},
+            small_config(dynamic=True, downloads_grow_libraries=True, seed=3),
             id="dynamic-growing-libraries",
         ),
+        # The world the figure-shape tests and the smoke CI runs use.
+        pytest.param(preset_config("smoke", seed=0).as_dynamic(), id="smoke-dynamic"),
     ],
 )
-def test_digest_identical_fast_vs_reference(overrides):
-    config = small_config(**overrides)
+def test_digest_identical_fast_vs_reference(config):
     fast_result, fast_digest = run_hashed(config, "fast", sanitize=False)
     ref_result, ref_digest = run_hashed(config, "fast-reference", sanitize=False)
     assert fast_digest == ref_digest
     assert fast_result.metrics.total_queries == ref_result.metrics.total_queries
     assert fast_result.metrics.total_hits == ref_result.metrics.total_hits
-    # ``GnutellaConfig.dynamic`` defaults to True: a case is static only if
-    # it says so, and then it never reconfigures.
-    assert (fast_result.metrics.reconfigurations > 0) == overrides["dynamic"]
+    # A static run never reconfigures.
+    assert (fast_result.metrics.reconfigurations > 0) == config.dynamic
     assert fast_result.metrics.reconfigurations == ref_result.metrics.reconfigurations
 
 

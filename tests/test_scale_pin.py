@@ -4,12 +4,11 @@ Tier-1 pins worlds up to the paper's 2,000 peers; above 4,096 peers the
 delays come from the lazy keyed draws and the catalog grows with the
 population, and only this test holds that regime to absolute values. It is
 ``slow`` (both engines, hashed, about a minute) and runs in CI's
-``scale-smoke`` job: ``pytest -m slow tests/test_scale_pin.py``.
+``scale-pin`` job: ``pytest -m slow tests/test_scale_pin.py``.
 
 The values were refreshed in the re-baseline window of ``docs/development.md``
-rule 3 (successive library draws); before it they lived in the ``scale``
-block of ``BENCH_e3f1347.json`` (``fast_digest`` 6afe7800bc43..., 103,687
-events, 79,716 queries, 6,443 hits).
+rule 3 (successive library draws); before it they read ``fast_digest``
+6afe7800bc43..., 103,687 events, 79,716 queries, 6,443 hits.
 """
 
 import pytest
