@@ -176,7 +176,7 @@ class DetailedGnutellaEngine(FastGnutellaEngine):
                 tid=int(node),
                 args={"hop": message.hops, "query": qid},
             )
-        if node in self.holders.get(item):
+        if self.holders.holds(node, item):
             # Reply to the initiator along the reverse path; do not forward.
             if self.tracer.enabled:
                 self.tracer.instant(

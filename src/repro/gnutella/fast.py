@@ -60,7 +60,7 @@ class _QueryView:
     def holds(self, node: NodeId, item) -> bool:
         # Links exist only among online peers, so reachability implies
         # online; no extra check needed.
-        return node in self._holders.get(item)
+        return self._holders.holds(node, item)
 
     def neighbors(self, node: NodeId):
         return self._peers[node].neighbors.outgoing.view()

@@ -46,7 +46,7 @@ class QueryModel:
         If true (default), resample queries that hit the user's own library
         (up to ``max_resample`` times, then accept whatever was drawn).
     holders:
-        The live item -> holder-set index local exclusion asks
+        The live holdings index local exclusion asks
         (:class:`~repro.core.fastpath.HolderIndex`). The engine passes the
         one its downloads grow. The default, an index built over
         ``libraries``, serves standalone use of the model, as in the
@@ -106,18 +106,19 @@ class QueryModel:
         """The item the next query asks for (one song per query).
 
         Local exclusion asks ``library`` when one is given (any container of
-        the user's items), else the holder index: ``user in
-        holders.get(item)``, which sees every download the engine recorded.
+        the user's items), else the holder index: ``holders.holds(user,
+        item)``, which sees every download the engine recorded and builds
+        nothing per item.
         """
         sample_category = self.sample_category
         sample_rank = self.catalog.popularity.sample
         item_at = self.catalog.item_at
-        holders_of = self.holders.get
+        holds = self.holders.holds
         for _ in range(self.max_resample + 1):
             category = sample_category(user, rng)  # drawn before the rank: same stream
             item = item_at(category, sample_rank(rng))
             if not self.exclude_local or (
-                user not in holders_of(item) if library is None else item not in library
+                not holds(user, item) if library is None else item not in library
             ):
                 return item
         return item  # give up after max_resample tries; accept a local hit

@@ -1,7 +1,7 @@
 """FloodFastPath must be bit-identical to the reference generic_search.
 
 The fast path is allowed to be clever (epoch marks, span-compressed trace,
-inverted holder index, a flat id slab) but not to be different: for any
+stamped holder marks, a flat id slab) but not to be different: for any
 topology, holder placement, hop limit and initiator it must return the same
 QueryOutcome the oracle returns — same results in the same order, same
 floats, same message and contact counts. These tests drive both
@@ -16,12 +16,14 @@ link mutation, and downloads recorded before and after an item's first
 query.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fastpath import FloodFastPath, HolderIndex
+from repro.core.fastpath import _LOOP_STAMP_MAX, FloodFastPath, HolderIndex
 from repro.core.search import generic_search
 from repro.core.soa import NeighborTable
 from repro.core.termination import TTLTermination
@@ -242,6 +244,22 @@ def test_live_mutations_match_reference(n_nodes, stride, seed, max_hops, ops):
             )
 
 
+def test_holder_marks_wrap_around():
+    """Holder marks are one byte per node and come round every 255 queries:
+    a holder stamped in the first round must not read as a holder of the
+    unheld item asked about at the same mark in later rounds."""
+    table = _table([[1], [0, 2], [1]], 2)
+    holdings = [set(), {7}, {7}]
+    delays = [[0.05 * (a != b) for b in range(3)] for a in range(3)]
+    fastpath = FloodFastPath(table, _index(holdings), delays, 2)
+    view = _TableView(table, holdings, delays)
+    for query in range(3 * 255):
+        item = 7 if query < 255 and query % 50 == 0 else 8
+        assert fastpath.search(0, item) == generic_search(
+            view, 0, item, TTLTermination(2)
+        )
+
+
 def test_add_holder_updates_index():
     """A download recorded in the index reaches the kernel's next query."""
     table = _table([[1], [0]], 1)
@@ -270,8 +288,7 @@ def test_add_holder_updates_index():
 )
 def test_add_holder_before_and_after_first_query(params, ops):
     """Downloads reach the kernel whether they land before an item's first
-    query (the index's overflow list) or after it (the materialized set),
-    including items nobody held at construction."""
+    query or after it, including items nobody held at construction."""
     table, holdings, delays = _build_world(*params)
     n_nodes, n_items = params[0], params[3]
     index = _index(holdings)
@@ -322,16 +339,22 @@ class OracleHolders:
     by downloads."""
 
     def __init__(self, libraries):
-        self.holders = {}
+        self.by_item = {}
         for node, library in enumerate(libraries):
             for item in library:
-                self.holders.setdefault(item, set()).add(node)
+                self.by_item.setdefault(item, set()).add(node)
 
-    def get(self, item):
-        return self.holders.get(item, set())
+    def holders(self, item):
+        return self.by_item.get(item, set())
 
     def add_holder(self, node, item):
-        self.holders.setdefault(item, set()).add(node)
+        self.by_item.setdefault(item, set()).add(node)
+
+
+def _stamped(index, marks, item, epoch):
+    """The nodes ``index.stamp`` marks for ``item`` at ``epoch``."""
+    index.stamp(marks, item, epoch)
+    return {node for node in range(len(marks)) if marks[node] == epoch}
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,37 +364,61 @@ class OracleHolders:
         st.lists(st.integers(0, 11), max_size=6, unique=True), min_size=1, max_size=8
     ),
     ops=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 7), st.integers(-3, 16)), max_size=40
+        st.tuples(
+            st.sampled_from(["add", "holds", "stamp"]), st.integers(0, 7), st.integers(-3, 16)
+        ),
+        max_size=40,
     ),
+    loop_max=st.sampled_from([0, _LOOP_STAMP_MAX]),
 )
-def test_holder_index_get_matches_reference(libraries, ops):
-    """Same sets from the same histories: empty libraries, items nobody holds,
-    ids below zero and past the largest held item, and holders added before an
-    item's first ``get`` (the overflow list) and after it (the cached set)."""
+def test_holder_index_matches_reference(libraries, ops, loop_max):
+    """``holds`` and ``stamp`` answer as a dict of holder sets does over the
+    same history: empty libraries, items nobody holds, ids below zero and past
+    the largest held item, downloads recorded before and after an item is
+    first asked about, and repeated downloads of a held item, which leave the
+    overflow as it was. ``loop_max`` 0 stamps every held item with the NumPy
+    assignment, the default with the Python loop (slices here are short)."""
     index, oracle = HolderIndex(*_csr(libraries)), OracleHolders(libraries)
-    assert len(index) == len(libraries)
-    asked = set()
-    for is_add, node, item in ops:
-        if is_add:
-            node %= len(libraries)
-            index.add_holder(node, item)
-            oracle.add_holder(node, item)
-        else:
-            got = index.get(item)
-            asked.add(item)
-            assert got == oracle.get(item)
-            assert all(type(member) is int for member in got)
-            assert index.get(item) is got  # materialized once, then live
-    assert index.items_cached == len(asked)
-    for item in range(-3, 18):
-        assert index.get(item) == oracle.get(item)
-    assert index.items_cached == 21
+    n_nodes = len(libraries)
+    assert len(index) == n_nodes
+    # One marks array across every stamp, as the kernel keeps it: marks of
+    # earlier epochs must not read as holders.
+    marks = bytearray(n_nodes)
+    epoch = 0
+    with patch("repro.core.fastpath._LOOP_STAMP_MAX", loop_max):
+        for op, node, item in ops:
+            node %= n_nodes
+            if op == "add":
+                already = node in oracle.holders(item)
+                overflow = {key: list(nodes) for key, nodes in index._extra.items()}
+                index.add_holder(node, item)
+                oracle.add_holder(node, item)
+                if already:
+                    assert index._extra == overflow
+            elif op == "holds":
+                assert index.holds(node, item) == (node in oracle.holders(item))
+            else:
+                epoch += 1
+                assert _stamped(index, marks, item, epoch) == oracle.holders(item)
+        for item in range(-3, 18):
+            expected = oracle.holders(item)
+            epoch += 1
+            assert _stamped(index, marks, item, epoch) == expected
+            assert {node for node in range(n_nodes) if index.holds(node, item)} == expected
 
 
-def test_holder_sets_share_node_ids():
-    """A cached set holds the index's own node-id ints, not fresh copies
-    (ids past 256 are not interned by CPython)."""
-    index = HolderIndex(*_csr([[]] * 300 + [[4], [4, 7]]))
-    assert index.get(4) == {300, 301} and index.get(7) == {301}
-    for held in index.get(4):
-        assert held is index._node_ids[held]
+def test_stamp_long_owner_slice():
+    """An item with more holders than the loop stamps goes through the NumPy
+    assignment, downloads included, and ``holds`` agrees node by node."""
+    n_nodes = 3 * _LOOP_STAMP_MAX
+    libraries = [[4, 2] if node % 3 else [2] for node in range(n_nodes)]
+    index = HolderIndex(*_csr(libraries))
+    for node in (0, 3, 6, 5):
+        index.add_holder(node, 4)
+    expected = {node for node in range(n_nodes) if node % 3} | {0, 3, 6}
+    assert len(expected) > _LOOP_STAMP_MAX
+    marks = bytearray(n_nodes)
+    assert _stamped(index, marks, 4, 1) == expected
+    assert _stamped(index, marks, 2, 2) == set(range(n_nodes))
+    assert {node for node in range(n_nodes) if index.holds(node, 4)} == expected
+    assert index._extra == {4: [0, 3, 6]}

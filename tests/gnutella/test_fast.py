@@ -125,7 +125,12 @@ class TestDeterminism:
 
 def library_entries(engine):
     """(node, item) pairs in the engine's live holder index."""
-    return sum(len(engine.holders.get(item)) for item in range(engine.config.n_items))
+    holds = engine.holders.holds
+    return sum(
+        holds(node, item)
+        for node in range(engine.config.n_users)
+        for item in range(engine.config.n_items)
+    )
 
 
 class TestDownloads:
