@@ -20,18 +20,25 @@ This module keeps the per-peer *semantics* in flat, index-addressed slabs:
 ``PeerArrays``
     The whole population's mutable scalars as columns — an online *bitmap*
     (``bytearray``), sessions / query-epoch / request counters as flat int
-    lists — plus the neighbor rows and the per-node
-    :class:`~repro.core.statistics.StatsTable` ledgers. (The benefit ledger
-    itself stays a per-node sparse mapping: it is keyed by *encountered*
-    peer, which is unbounded and sparse, so a hash map per node is the
-    compact layout; the dense per-peer counters are what flatten.)
+    lists — plus the neighbor rows and one
+    :class:`~repro.core.statistics.StatsTable` slot per node. A slot stays
+    ``None`` until the node is first credited: Section 3.4 keeps statistics
+    only for peers *encountered* through search and exploration, so every
+    ledger is empty when the world is built, and most stay so for a while.
+    (The ledger itself is a per-node sparse mapping: it is keyed by
+    encountered peer, which is unbounded and sparse, so a hash map per node
+    is the compact layout; the dense per-peer counters are what flatten.)
+    The engines and the protocol read and write these columns directly;
+    nothing per peer is built with the world.
 
 ``SoAPeer`` / ``SoANeighborState`` / ``SlotNeighborList``
-    Thin pre-built views giving every slab cell a per-peer interface
-    (``peer.online``, ``peer.neighbors.outgoing.add(...)``, ...), so the
-    protocol, the observability walkers, and the test suite read the arrays
-    through one readable API. The views hold no state of their own — every
-    read/write lands in the arrays.
+    Thin views giving every slab cell a per-peer interface
+    (``peer.online``, ``peer.neighbors.outgoing.add(...)``, ...), for the
+    observability walkers, the sanitizer and the test suite. The views hold
+    no state of their own — every read/write lands in the arrays — and
+    :meth:`PeerArrays.peers` builds the list of them on first call only.
+    The protocol builds one ``SoANeighborState`` per invitation, for
+    :func:`~repro.core.update.process_invitation`.
 
 :meth:`SlotNeighborList.view` returns a fresh copy per call (a slab row has
 no per-node list object to share). The flood fast path never calls it — it
@@ -268,8 +275,10 @@ class SoAPeer:
 
     @property
     def stats(self) -> StatsTable:
-        """The peer's private benefit ledger."""
-        return self._arrays.stats[self.node]
+        """The peer's private benefit ledger, created (and stored) if it has
+        none yet, so that writes through a view land. Pure readers use
+        :meth:`PeerArrays.stats_or_empty`."""
+        return self._arrays.stats_for_credit(self.node)
 
     @property
     def requests_since_update(self) -> int:
@@ -319,8 +328,8 @@ class SoAPeerList(list):
     """A dense peer list that also exposes its backing :class:`PeerArrays`.
 
     A real ``list`` (indexing and iteration at native speed for every
-    consumer), with one extra attribute the hot paths use to reach the
-    slabs directly: ``peers.arrays``.
+    consumer), with one extra attribute leading back to the columns:
+    ``peers.arrays``.
     """
 
     __slots__ = ("arrays",)
@@ -343,7 +352,7 @@ class PeerArrays:
         out                   NeighborTable(n, slots)
         incoming              NeighborTable(n, in_capacity)   (finite)
                               list[NeighborList][n]           (math.inf)
-        stats                 list[StatsTable][n]   (sparse per-node ledgers)
+        stats                 list[StatsTable | None][n]   (None until credited)
 
     The incoming rows take the capacity the relation needs. Symmetric
     relations (the default, ``in_capacity=None``) mirror the outgoing rows
@@ -351,6 +360,11 @@ class PeerArrays:
     Section 3.1 (``in_capacity=math.inf``) lets a supplier carry any number
     of consumers, which no fixed stride holds, so each of its rows is one
     unbounded :class:`~repro.core.neighbors.NeighborList`.
+
+    A node's ledger is created by its first credit
+    (:meth:`stats_for_credit`) and never by a read: a missing table reads
+    as empty (:meth:`stats_or_empty`), and :meth:`reset_stats` and
+    :meth:`clear_stats` have nothing to do without one.
     """
 
     __slots__ = (
@@ -363,6 +377,7 @@ class PeerArrays:
         "out",
         "incoming",
         "stats",
+        "_views",
     )
 
     def __init__(self, n: int, slots: int, in_capacity: float | None = None) -> None:
@@ -378,8 +393,36 @@ class PeerArrays:
             if in_capacity == math.inf
             else NeighborTable(n, slots if in_capacity is None else int(in_capacity))
         )
-        self.stats = [StatsTable() for _ in range(n)]
+        self.stats: list[StatsTable | None] = [None] * n
+        self._views: SoAPeerList | None = None
+
+    def stats_for_credit(self, node: NodeId) -> StatsTable:
+        """``node``'s ledger, created on its first credit."""
+        stats = self.stats[node]
+        if stats is None:
+            stats = self.stats[node] = StatsTable()
+        return stats
+
+    def stats_or_empty(self, node: NodeId) -> StatsTable:
+        """``node``'s ledger to read: a fresh, unstored empty table if it has
+        none (never a shared one: even ``reset`` writes a table)."""
+        stats = self.stats[node]
+        return StatsTable() if stats is None else stats
+
+    def reset_stats(self, node: NodeId, other: NodeId) -> None:
+        """Forget ``other`` in ``node``'s ledger (Process_Eviction)."""
+        stats = self.stats[node]
+        if stats is not None:
+            stats.reset(other)
+
+    def clear_stats(self, node: NodeId) -> None:
+        """Forget everything in ``node``'s ledger (log-off)."""
+        stats = self.stats[node]
+        if stats is not None:
+            stats.clear()
 
     def peers(self) -> SoAPeerList:
-        """Build the dense per-peer view list (once)."""
-        return SoAPeerList(self, [SoAPeer(self, NodeId(u)) for u in range(self.n)])
+        """The dense per-peer view list, built on the first call only."""
+        if self._views is None:
+            self._views = SoAPeerList(self, [SoAPeer(self, NodeId(u)) for u in range(self.n)])
+        return self._views

@@ -24,7 +24,6 @@ import math
 
 import numpy as np
 
-from repro.core.soa import SoAPeer
 from repro.core.update import plan_reconfiguration
 from repro.gnutella.fast import FastGnutellaEngine
 from repro.gnutella.protocol import GnutellaProtocol
@@ -66,13 +65,13 @@ class AsymmetricProtocol(GnutellaProtocol):
             from repro.errors import FrameworkError
 
             raise FrameworkError(f"peer {a} cannot neighbor itself")
-        self.peers[a].neighbors.outgoing.add(b)
-        self.peers[b].neighbors.incoming.add(a)
+        self.arrays.out.add(a, b)
+        self.arrays.incoming[b].add(a)
 
     def unlink(self, a: NodeId, b: NodeId) -> None:
         """Remove the directed edge ``a -> b``."""
-        self.peers[a].neighbors.outgoing.remove(b)
-        self.peers[b].neighbors.incoming.remove(a)
+        self.arrays.out.remove(a, b)
+        self.arrays.incoming[b].remove(a)
 
     def evict(self, evictor: NodeId, evicted: NodeId) -> None:
         """Drop ``evictor -> evicted``; unilateral, no stats reset needed at
@@ -106,11 +105,13 @@ class AsymmetricProtocol(GnutellaProtocol):
         No invitations, no acceptance, no counter damping at the target —
         the target never even learns it gained a consumer.
         """
-        peer = self.peers[node]
-        current = peer.neighbors.outgoing.as_tuple()
+        arrays = self.arrays
+        out = arrays.out
+        stats = arrays.stats_or_empty(node)
+        current = out.row_tuple(node)
         desired = plan_reconfiguration(
             current,
-            peer.stats,
+            stats,
             self.slots,
             exclude=(node,),
             eligible=self._is_online,
@@ -120,30 +121,30 @@ class AsymmetricProtocol(GnutellaProtocol):
         additions = [n for n in desired if n not in current_set]
         removals = sorted(
             (n for n in current if n not in desired_set),
-            key=lambda n: (peer.stats.benefit_of(n), n),
+            key=lambda n: (stats.benefit_of(n), n),
         )
         if max_swaps is not None:
             additions = additions[:max_swaps]
         adopted = 0
         removal_iter = iter(removals)
         for target in additions:
-            if peer.neighbors.outgoing.is_full:
+            if out.deg[node] >= out.slots:
                 victim = next(removal_iter, None)
                 if victim is None:
                     break
-                challenger = peer.stats.benefit_of(target)
-                incumbent = peer.stats.benefit_of(victim)
+                challenger = stats.benefit_of(target)
+                incumbent = stats.benefit_of(victim)
                 if challenger <= (1.0 + swap_margin) * incumbent:
                     break
                 self.evict(node, victim)
             self.link(node, target)
             adopted += 1
-        peer.requests_since_update = 0
+        arrays.requests_since_update[node] = 0
         self._note_reconfiguration(node, adopted, len(additions))
         if stats_decay == 0.0:
-            peer.stats.clear()
+            stats.clear()
         elif stats_decay < 1.0:
-            peer.stats.decay(stats_decay)
+            stats.decay(stats_decay)
         return adopted
 
     # ------------------------------------------------------------------
@@ -156,14 +157,12 @@ class AsymmetricProtocol(GnutellaProtocol):
         online candidate accepts — the defining property of the pure
         asymmetric case.
         """
-        peer = self.peers[node]
+        out = self.arrays.out
         formed = 0
-        exclude = [node, *peer.neighbors.outgoing]
-        candidates = self.bootstrap.sample(
-            rng, peer.neighbors.outgoing.free_slots, exclude=exclude
-        )
+        exclude = [node, *out.row(node)]
+        candidates = self.bootstrap.sample(rng, out.slots - out.deg[node], exclude=exclude)
         for candidate in candidates:
-            if not peer.has_free_slot:
+            if out.deg[node] >= out.slots:
                 break
             if self._is_online(candidate):
                 self.link(node, candidate)
@@ -173,10 +172,9 @@ class AsymmetricProtocol(GnutellaProtocol):
     def sever_all(self, node: NodeId) -> list[NodeId]:
         """Log-off: drop both directions; return the *consumers* (peers that
         pointed at this node) — they lost an outgoing neighbor and react."""
-        peer = self.peers[node]
-        for supplier in list(peer.neighbors.outgoing):
+        for supplier in self.arrays.out.row(node):
             self.unlink(node, supplier)
-        consumers = list(peer.neighbors.incoming.as_tuple())
+        consumers = list(self.arrays.incoming[node].as_tuple())
         for consumer in consumers:
             self.unlink(consumer, node)
         return consumers
@@ -192,13 +190,13 @@ class AsymmetricFastEngine(FastGnutellaEngine):
         #: Results served per node (the load-imbalance measurement).
         self.served = np.zeros(config.n_users, dtype=np.int64)
 
-    def _record_benefit(self, peer: SoAPeer, outcome) -> None:
+    def _record_benefit(self, node: NodeId, outcome) -> None:
         # Service-load tracking rides the benefit hook, so it covers the
         # dynamic scheme — which is where the imbalance claim lives (the
         # static scheme never reconfigures toward suppliers at all).
         for result in outcome.results:
             self.served[result.responder] += 1
-        super()._record_benefit(peer, outcome)
+        super()._record_benefit(node, outcome)
 
     def service_gini(self) -> float:
         """Gini coefficient of results served per node."""
@@ -207,4 +205,4 @@ class AsymmetricFastEngine(FastGnutellaEngine):
     def incoming_degree_max(self) -> int:
         """Largest incoming list — how many consumers the most popular
         supplier carries."""
-        return max(len(p.neighbors.incoming) for p in self.peers)
+        return max(len(row) for row in self.arrays.incoming)

@@ -105,12 +105,12 @@ class DetailedGnutellaEngine(FastGnutellaEngine):
     # Query data path
     # ------------------------------------------------------------------
     def _fire_query(self, node: NodeId, epoch: int) -> None:
-        peer = self.peers[node]
-        if not peer.online or peer.query_epoch != epoch:
+        arrays = self.arrays
+        if not arrays.online[node] or arrays.query_epoch[node] != epoch:
             return
         item = self.query_model.sample_item(node, self._item_rng)
         record = _PendingQuery(node, item, self.sim.now, epoch)
-        neighbors = list(peer.neighbors.outgoing)
+        neighbors = arrays.out.row(node)
         if neighbors:
             first = Message(
                 kind=MessageKind.QUERY,
@@ -192,7 +192,7 @@ class DetailedGnutellaEngine(FastGnutellaEngine):
         if message.hops >= self.config.max_hops:
             return
         record = self._pending.get(qid)
-        for neighbor in list(self.peers[node].neighbors.outgoing):
+        for neighbor in self.arrays.out.row(node):
             if neighbor == message.sender:
                 continue
             forwarded = message.forwarded(node, neighbor)
@@ -288,24 +288,24 @@ class DetailedGnutellaEngine(FastGnutellaEngine):
         self.metrics.record_query(
             record.issued_at, hit, 0, n_results, first_delay
         )
-        peer = self.peers[record.initiator]
+        node = record.initiator
         if hit and self.config.downloads_grow_libraries:
-            self.holders.add_holder(record.initiator, record.item)
+            self.holders.add_holder(node, record.item)
         if not self.config.dynamic:
             return
-        if peer.online and peer.query_epoch == record.epoch:
+        arrays = self.arrays
+        if arrays.online[node] and arrays.query_epoch[node] == record.epoch:
             if n_results:
+                add = arrays.stats_for_credit(node).add_benefit
                 for responder, _delay, _hops in record.results:
-                    peer.stats.add_benefit(
-                        responder,
-                        self.bandwidth.link_kbps(record.initiator, responder) / n_results,
-                    )
-            peer.requests_since_update += 1
-            if peer.requests_since_update >= self.config.reconfiguration_threshold:
+                    add(responder, self.bandwidth.link_kbps(node, responder) / n_results)
+            requests = arrays.requests_since_update[node] + 1
+            arrays.requests_since_update[node] = requests
+            if requests >= self.config.reconfiguration_threshold:
                 self.protocol.reconfigure(
-                    record.initiator,
+                    node,
                     self.config.max_swaps_per_update,
                     self.config.swap_margin,
                     self.config.stats_decay_on_update,
                 )
-                self.protocol.fill_random(record.initiator, self._bootstrap_rng)
+                self.protocol.fill_random(node, self._bootstrap_rng)

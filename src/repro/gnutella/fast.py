@@ -22,10 +22,12 @@ holdings differ; arrival times never do.)
 
 from __future__ import annotations
 
+from array import array
+
 from repro.core.exploration import generic_explore
 from repro.core.fastpath import FloodFastPath, HolderIndex
 from repro.core.search import generic_search, iterative_deepening_search
-from repro.core.soa import PeerArrays, SoAPeer
+from repro.core.soa import NeighborTable, PeerArrays, SoAPeerList
 from repro.core.selection import SelectRandomK, SelectTopKBenefit
 from repro.core.termination import TTLTermination
 from repro.errors import ConfigurationError
@@ -50,10 +52,10 @@ __all__ = ["FastGnutellaEngine"]
 class _QueryView:
     """NetworkView over the live peer population (hot path, zero copies)."""
 
-    __slots__ = ("_peers", "_holders", "_latency")
+    __slots__ = ("_out", "_holders", "_latency")
 
-    def __init__(self, peers, holders: HolderIndex, latency: LatencyModel) -> None:
-        self._peers = peers
+    def __init__(self, out: NeighborTable, holders: HolderIndex, latency: LatencyModel) -> None:
+        self._out = out
         self._holders = holders
         self._latency = latency
 
@@ -63,7 +65,7 @@ class _QueryView:
         return self._holders.holds(node, item)
 
     def neighbors(self, node: NodeId):
-        return self._peers[node].neighbors.outgoing.view()
+        return self._out.row(node)
 
     def link_delay(self, a: NodeId, b: NodeId) -> float:
         return self._latency.one_way_delay(a, b)
@@ -104,9 +106,12 @@ class FastGnutellaEngine:
         ``delay_rows()`` transparently returns a lazy per-pair view — the
         flag is then effectively ignored.
 
-    Per-node hot state (online flags, counters, neighbor rows) lives in the
-    flat struct-of-arrays slabs of :class:`~repro.core.soa.PeerArrays`;
-    ``peers`` is the list of per-peer views over them, built once.
+    Per-node state (online flags, counters, neighbor rows, benefit ledgers)
+    lives in the flat struct-of-arrays columns of
+    :class:`~repro.core.soa.PeerArrays`, which the engine and its protocol
+    read and write directly; churn is kept as columns too. Nothing per peer
+    is built with the world: a ledger appears on a peer's first credit, and
+    ``peers``, the list of per-peer views, on its first access.
     """
 
     #: The link-management policy. Subclasses swap the relation here (the
@@ -154,31 +159,36 @@ class FastGnutellaEngine:
             self.libraries, rate_per_hour=config.queries_per_hour, holders=self.holders
         )
 
+        # Churn as columns: who starts online, and every user's transition
+        # times back to back (user u's are churn_times[churn_offsets[u] :
+        # churn_offsets[u + 1]]). Each schedule is drawn, copied out and
+        # dropped.
         churn_model = ChurnModel(config.mean_online, config.mean_offline)
         churn_rng = streams.get("churn")
-        self.schedules = [
-            SessionSchedule.generate(NodeId(u), churn_model, config.horizon, churn_rng)
-            for u in range(config.n_users)
-        ]
+        self.initially_online = bytearray(config.n_users)
+        self.churn_times = array("d")
+        self.churn_offsets = array("q", [0])
+        for u in range(config.n_users):
+            schedule = SessionSchedule.generate(NodeId(u), churn_model, config.horizon, churn_rng)
+            self.initially_online[u] = schedule.initially_online
+            self.churn_times.extend(schedule.transitions)
+            self.churn_offsets.append(len(self.churn_times))
 
         self.sim = Simulator()
         self.metrics = SimulationMetrics(config.horizon)
         protocol_class = self.protocol_class
-        # The slabs hold the data; the SoAPeer views over them are built
-        # once here, never per event.
         self.arrays = PeerArrays(
             config.n_users, config.neighbor_slots, protocol_class.in_capacity
         )
-        self.peers = self.arrays.peers()
         self.bootstrap = BootstrapServer()
         self.protocol = protocol_class(
-            self.peers, self.bootstrap, self.metrics, config.neighbor_slots
+            self.arrays, self.bootstrap, self.metrics, config.neighbor_slots
         )
         # Lend the protocol the kernel clock unconditionally (not only when a
         # tracer attaches): the per-hour reconfiguration series needs real
         # simulated timestamps on every run.
         self.protocol.now = lambda: self.sim.now
-        self.view = _QueryView(self.peers, self.holders, self.latency)
+        self.view = _QueryView(self.arrays.out, self.holders, self.latency)
         self.termination = TTLTermination(config.max_hops)
         # Delays are static per run, so materialize the full pairwise matrix
         # up front (canonical vectorized draws). Built for the reference
@@ -236,6 +246,15 @@ class FastGnutellaEngine:
             # fires mid-reconfiguration).
             self.protocol.on_eviction = self._on_eviction
 
+    @property
+    def peers(self) -> SoAPeerList:
+        """Per-peer views over :attr:`arrays`, built on first access.
+
+        For the overlay walkers, the sanitizer, probes and tests; the
+        engine itself reads the columns.
+        """
+        return self.arrays.peers()
+
     def attach_tracer(self, tracer) -> None:
         """Install a live :class:`~repro.obs.trace.Tracer` on this engine.
 
@@ -257,17 +276,17 @@ class FastGnutellaEngine:
         self.sim.schedule(0.0, self._refill_evicted, evicted)
 
     def _refill_evicted(self, node: NodeId) -> None:
-        peer = self.peers[node]
-        if peer.online and peer.has_free_slot:
+        out = self.arrays.out
+        if self.arrays.online[node] and out.deg[node] < out.slots:
             self.protocol.fill_random(node, self._bootstrap_rng)
 
     # ------------------------------------------------------------------
     # Lifecycle events
     # ------------------------------------------------------------------
     def _login(self, node: NodeId) -> None:
-        peer = self.peers[node]
-        peer.online = True
-        peer.sessions += 1
+        arrays = self.arrays
+        arrays.online[node] = 1
+        arrays.sessions[node] += 1
         self.metrics.logins += 1
         if self.tracer.enabled:
             self.tracer.instant(
@@ -275,14 +294,14 @@ class FastGnutellaEngine:
             )
         self.bootstrap.join(node)
         self.protocol.fill_random(node, self._bootstrap_rng)
-        self._schedule_next_query(node, peer.query_epoch)
+        self._schedule_next_query(node, arrays.query_epoch[node])
         if self.config.dynamic and self.config.exploration_interval is not None:
-            self._schedule_exploration(node, peer.query_epoch)
+            self._schedule_exploration(node, arrays.query_epoch[node])
 
     def _logoff(self, node: NodeId) -> None:
-        peer = self.peers[node]
-        peer.online = False
-        peer.query_epoch += 1
+        arrays = self.arrays
+        arrays.online[node] = 0
+        arrays.query_epoch[node] += 1
         self.metrics.logoffs += 1
         if self.tracer.enabled:
             self.tracer.instant(
@@ -290,15 +309,14 @@ class FastGnutellaEngine:
             )
         self.bootstrap.leave(node)
         if not self.config.persist_stats:
-            peer.stats.clear()
+            arrays.clear_stats(node)
         ex_neighbors = self.protocol.sever_all(node)
         for other in ex_neighbors:
             self._handle_neighbor_loss(other)
 
     def _handle_neighbor_loss(self, node: NodeId) -> None:
         """A neighbor just logged off; restore the degree per the scheme."""
-        peer = self.peers[node]
-        if not peer.online:
+        if not self.arrays.online[node]:
             return
         if self.config.dynamic and self.config.update_on_logoff:
             # "Neighbor log-offs trigger the update process" (Section 4.1 v).
@@ -311,7 +329,7 @@ class FastGnutellaEngine:
         self.protocol.fill_random(node, self._bootstrap_rng)
 
     def _toggle(self, node: NodeId) -> None:
-        if self.peers[node].online:
+        if self.arrays.online[node]:
             self._logoff(node)
         else:
             self._login(node)
@@ -326,11 +344,11 @@ class FastGnutellaEngine:
         self.sim.schedule(delay, self._fire_query, node, epoch)
 
     def _fire_query(self, node: NodeId, epoch: int) -> None:
-        peer = self.peers[node]
-        if not peer.online or peer.query_epoch != epoch:
+        arrays = self.arrays
+        if not arrays.online[node] or arrays.query_epoch[node] != epoch:
             return  # stale timer from a previous session
         item = self.query_model.sample_item(node, self._item_rng)
-        outcome = self._execute_search(node, item, peer)
+        outcome = self._execute_search(node, item)
         if outcome.hit and self.config.downloads_grow_libraries:
             # The user downloads the song and shares it from now on.
             self.holders.add_holder(node, item)
@@ -352,9 +370,10 @@ class FastGnutellaEngine:
                 ),
             )
         if self.config.dynamic:
-            self._record_benefit(peer, outcome)
-            peer.requests_since_update += 1
-            if peer.requests_since_update >= self.config.reconfiguration_threshold:
+            self._record_benefit(node, outcome)
+            requests = arrays.requests_since_update[node] + 1
+            arrays.requests_since_update[node] = requests
+            if requests >= self.config.reconfiguration_threshold:
                 self.protocol.reconfigure(
                     node,
                     self.config.max_swaps_per_update,
@@ -369,7 +388,7 @@ class FastGnutellaEngine:
         """Whether flood queries run on the specialized fast path."""
         return self._fastpath is not None
 
-    def _execute_search(self, node: NodeId, item, peer: SoAPeer):
+    def _execute_search(self, node: NodeId, item):
         """Run one query with the configured search strategy."""
         kind, k = self._strategy
         if kind == "flood":
@@ -395,12 +414,12 @@ class FastGnutellaEngine:
             item,
             self.termination,
             selection=self._selection_policy,
-            stats=peer.stats,
+            stats=self.arrays.stats[node],
             rng=self._selection_rng,
             issued_at=self.sim.now,
         )
 
-    def _record_benefit(self, peer: SoAPeer, outcome) -> None:
+    def _record_benefit(self, node: NodeId, outcome) -> None:
         """Credit each result's responder per the configured benefit.
 
         The default is the paper's ``B / R`` (Section 4.1(i)).
@@ -408,8 +427,7 @@ class FastGnutellaEngine:
         n_results = outcome.result_count
         if n_results == 0:
             return
-        node = peer.node
-        add = peer.stats.add_benefit
+        add = self.arrays.stats_for_credit(node).add_benefit
         benefit = self.config.benefit
         if benefit == "bandwidth-share":
             link_kbps = self.bandwidth.link_kbps
@@ -432,8 +450,8 @@ class FastGnutellaEngine:
         self.sim.schedule(interval, self._fire_exploration, node, epoch)
 
     def _fire_exploration(self, node: NodeId, epoch: int) -> None:
-        peer = self.peers[node]
-        if not peer.online or peer.query_epoch != epoch:
+        arrays = self.arrays
+        if not arrays.online[node] or arrays.query_epoch[node] != epoch:
             return
         # Probe about items the user is likely to want next (drawn from the
         # same preference mix as real queries, without consuming the paired
@@ -452,7 +470,7 @@ class FastGnutellaEngine:
         link_kbps = self.bandwidth.link_kbps
         for report in outcome.reports:
             if report.coverage:
-                peer.stats.add_benefit(
+                arrays.stats_for_credit(node).add_benefit(
                     report.node,
                     report.coverage * link_kbps(node, report.node)
                     / self.config.exploration_probe_items,
@@ -475,12 +493,16 @@ class FastGnutellaEngine:
         if self._ran:
             raise ConfigurationError("engine instances are single-use; build a new one")
         self._ran = True
-        for user, schedule in enumerate(self.schedules):
+        # One bound method per handler for the whole timeline, not one per
+        # event; looked up here, so wrappers installed before start() apply.
+        login, toggle = self._login, self._toggle
+        times, offsets = self.churn_times, self.churn_offsets
+        for user, online in enumerate(self.initially_online):
             node = NodeId(user)
-            if schedule.initially_online:
-                self.sim.schedule(0.0, self._login, node)
-            for t in schedule.transitions:
-                self.sim.schedule_at(t, self._toggle, node)
+            if online:
+                self.sim.schedule(0.0, login, node)
+            for t in times[offsets[user] : offsets[user + 1]]:
+                self.sim.schedule_at(t, toggle, node)
 
     def advance(self, until: float) -> float:
         """Execute events up to ``min(until, horizon)``; returns the clock.
@@ -523,7 +545,8 @@ class FastGnutellaEngine:
     # ------------------------------------------------------------------
     def neighbor_snapshot(self) -> dict[NodeId, tuple[NodeId, ...]]:
         """Current outgoing lists (online peers only hold links)."""
-        return {p.node: p.neighbors.outgoing.as_tuple() for p in self.peers}
+        out = self.arrays.out
+        return {NodeId(u): out.row_tuple(u) for u in range(self.config.n_users)}
 
     def online_count(self) -> int:
         """Number of peers currently online."""
@@ -540,5 +563,5 @@ class FastGnutellaEngine:
         from repro.obs.topology import walk_overlay
 
         view = walk_overlay(self.peers)
-        favorite = {p.node: int(self.libraries.favorite[p.node]) for p in self.peers}
+        favorite = dict(enumerate(self.libraries.favorite.tolist()))
         return view.clustering_by_attribute(favorite)

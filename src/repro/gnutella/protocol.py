@@ -4,8 +4,8 @@ Both engines agree on *what* a reconfiguration does; this module implements
 the doing for engines that treat control traffic as instantaneous relative to
 churn (the fast engine; the detailed engine ships the same decisions as real
 messages). The decision logic itself lives in :mod:`repro.core.update` — this
-is glue between those pure functions and the live peer population
-(:class:`~repro.core.soa.PeerArrays`, read through its per-peer views).
+is glue between those pure functions and the live peer population, whose
+:class:`~repro.core.soa.PeerArrays` columns it reads and writes directly.
 
 Link maintenance policy: Gnutella peers keep their neighbor count topped up
 (a peer that lost a neighbor looks for a replacement via the bootstrap /
@@ -24,7 +24,7 @@ current on link add, sever, and logoff.
 
 from __future__ import annotations
 
-from repro.core.soa import SoAPeerList
+from repro.core.soa import PeerArrays, SoANeighborState, SoAPeerList
 from repro.core.update import (
     EvictAction,
     InviteAction,
@@ -48,8 +48,9 @@ class GnutellaProtocol:
     Parameters
     ----------
     peers:
-        The population's per-peer views, indexed by node id
-        (:meth:`repro.core.soa.PeerArrays.peers`).
+        The population's columns (:class:`~repro.core.soa.PeerArrays`), or
+        a view list over them (:meth:`~repro.core.soa.PeerArrays.peers`),
+        whose ``arrays`` the protocol then uses.
     bootstrap:
         The host-cache server (random candidate source).
     metrics:
@@ -67,13 +68,14 @@ class GnutellaProtocol:
 
     def __init__(
         self,
-        peers: SoAPeerList,
+        peers: PeerArrays | SoAPeerList,
         bootstrap: BootstrapServer,
         metrics: SimulationMetrics,
         slots: int,
         always_accept: bool = True,
     ) -> None:
-        self.peers = peers
+        #: The population's columns, read and written in place.
+        self.arrays = arrays = peers if isinstance(peers, PeerArrays) else peers.arrays
         self.bootstrap = bootstrap
         self.metrics = metrics
         self.slots = slots
@@ -99,7 +101,6 @@ class GnutellaProtocol:
         # plan_reconfiguration and the candidate filter in fill_random are
         # the protocol's innermost loops, and a bytearray index beats a
         # view-object property chase.
-        arrays = peers.arrays
         online = arrays.online
         deg = arrays.out.deg
         cap = arrays.out.slots
@@ -113,26 +114,31 @@ class GnutellaProtocol:
         self._is_online = _is_online
         self._is_linkable = _is_linkable
 
+    @property
+    def peers(self) -> SoAPeerList:
+        """Per-peer views over :attr:`arrays`, for tools and tests."""
+        return self.arrays.peers()
+
     # ------------------------------------------------------------------
     # Link primitives
     # ------------------------------------------------------------------
     def link(self, a: NodeId, b: NodeId) -> None:
         """Create the mutual neighborhood ``a <-> b``."""
-        pa, pb = self.peers[a], self.peers[b]
         if a == b:
             raise FrameworkError(f"peer {a} cannot neighbor itself")
-        pa.neighbors.outgoing.add(b)
-        pa.neighbors.incoming.add(b)
-        pb.neighbors.outgoing.add(a)
-        pb.neighbors.incoming.add(a)
+        out, incoming = self.arrays.out, self.arrays.incoming
+        out.add(a, b)
+        incoming.add(a, b)
+        out.add(b, a)
+        incoming.add(b, a)
 
     def unlink(self, a: NodeId, b: NodeId) -> None:
         """Dissolve the mutual neighborhood ``a <-> b``."""
-        pa, pb = self.peers[a], self.peers[b]
-        pa.neighbors.outgoing.remove(b)
-        pa.neighbors.incoming.remove(b)
-        pb.neighbors.outgoing.remove(a)
-        pb.neighbors.incoming.remove(a)
+        out, incoming = self.arrays.out, self.arrays.incoming
+        out.remove(a, b)
+        incoming.remove(a, b)
+        out.remove(b, a)
+        incoming.remove(b, a)
 
     def evict(self, evictor: NodeId, evicted: NodeId) -> None:
         """Unlink plus Process_Eviction at the evicted side.
@@ -142,7 +148,7 @@ class GnutellaProtocol:
         replace the lost neighbor immediately (Algo 5).
         """
         self.unlink(evictor, evicted)
-        self.peers[evicted].stats.reset(evictor)
+        self.arrays.reset_stats(evicted, evictor)
         self.metrics.evictions += 1
         if self.tracer.enabled:
             self.tracer.instant(
@@ -181,14 +187,14 @@ class GnutellaProtocol:
         happen to make room (single-swap mode) or per the full plan
         (``max_swaps=None``).
         """
-        peer = self.peers[node]
-        stats = peer.stats
+        arrays = self.arrays
+        stats = arrays.stats[node]
         adopted = invited = 0
         # Most calls have nothing to exchange: a peer without statistics
         # desires exactly the list it has, and most plans confirm the
         # neighborhood. Those go straight to the bookkeeping.
-        if len(stats):
-            current = peer.neighbors.outgoing.as_tuple()
+        if stats is not None and len(stats):
+            current = arrays.out.row_tuple(node)
             desired = plan_reconfiguration(
                 current,
                 stats,
@@ -199,8 +205,10 @@ class GnutellaProtocol:
             invites, evicts = reconfiguration_actions(node, current, desired)
             if invites or (evicts and max_swaps is None):
                 adopted, invited = self._exchange(node, invites, evicts, max_swaps, swap_margin)
-        peer.requests_since_update = 0
+        arrays.requests_since_update[node] = 0
         self._note_reconfiguration(node, adopted, invited)
+        if stats is None:
+            return adopted
         if stats_decay == 0.0:
             stats.clear()
         elif stats_decay < 1.0:
@@ -222,7 +230,9 @@ class GnutellaProtocol:
         Returns ``(adopted, invited)``: links formed, invitations the
         ``max_swaps`` cap let through.
         """
-        peer = self.peers[node]
+        arrays = self.arrays
+        stats = arrays.stats_or_empty(node)
+        online, out = arrays.online, arrays.out
         if max_swaps is None:
             # Literal Algo 5: all undesired neighbors are evicted up front.
             for action in evicts:
@@ -232,23 +242,23 @@ class GnutellaProtocol:
             invites = invites[:max_swaps]
             # Evict lazily, least beneficial first, only to make room.
             pending_evicts = sorted(
-                evicts, key=lambda a: (peer.stats.benefit_of(a.evicted), a.evicted)
+                evicts, key=lambda a: (stats.benefit_of(a.evicted), a.evicted)
             )
         adopted = 0
         evict_iter = iter(pending_evicts)
         for action in invites:
-            invitee = self.peers[action.invitee]
-            if not invitee.online or action.invitee in peer.neighbors.outgoing:
+            invitee = action.invitee
+            if not online[invitee] or out.contains(node, invitee):
                 continue
-            if peer.neighbors.outgoing.is_full:
+            if out.deg[node] >= out.slots:
                 victim = next(evict_iter, None)
                 if victim is None:
                     break
                 # Hysteresis: displacing a connected neighbor requires the
                 # challenger to clearly dominate it; without this, churn
                 # rotates the benefit ranking and reconfigurations thrash.
-                challenger_benefit = peer.stats.benefit_of(action.invitee)
-                incumbent_benefit = peer.stats.benefit_of(victim.evicted)
+                challenger_benefit = stats.benefit_of(invitee)
+                incumbent_benefit = stats.benefit_of(victim.evicted)
                 if challenger_benefit <= (1.0 + swap_margin) * incumbent_benefit:
                     break  # invites are benefit-ordered; later ones are worse
                 self.evict(node, victim.evicted)
@@ -260,17 +270,20 @@ class GnutellaProtocol:
                     self.now(),
                     pid=PID_PROTOCOL,
                     tid=int(node),
-                    args={"invitee": int(action.invitee)},
+                    args={"invitee": int(invitee)},
                 )
             decision = process_invitation(
-                invitee.neighbors, node, invitee.stats, always_accept=self.always_accept
+                SoANeighborState(arrays, invitee),
+                node,
+                arrays.stats_or_empty(invitee),
+                always_accept=self.always_accept,
             )
             if not decision.accepted:
                 continue
             if decision.evicted is not None:
-                self.evict(action.invitee, decision.evicted)
-            self.link(node, action.invitee)
-            invitee.requests_since_update = 0
+                self.evict(invitee, decision.evicted)
+            self.link(node, invitee)
+            arrays.requests_since_update[invitee] = 0
             adopted += 1
         return adopted, len(invites)
 
@@ -297,16 +310,16 @@ class GnutellaProtocol:
         This is the static scheme's whole neighbor policy and the shared
         degree-maintenance fallback of the dynamic scheme.
         """
-        outgoing = self.peers[node].neighbors.outgoing
+        out = self.arrays.out
         linkable = self._is_linkable
         formed = 0
         # Each round samples fresh candidates; stop when full or the online
         # population offers nothing linkable.
         for _ in range(4):
-            want = int(outgoing.free_slots)
+            want = out.slots - out.deg[node]
             if want <= 0:
                 break
-            candidates = self.bootstrap.sample(rng, 2 * want, {node, *outgoing})
+            candidates = self.bootstrap.sample(rng, 2 * want, {node, *out.row(node)})
             if not candidates:
                 break
             linked_this_round = 0
@@ -326,8 +339,7 @@ class GnutellaProtocol:
     # ------------------------------------------------------------------
     def sever_all(self, node: NodeId) -> list[NodeId]:
         """Drop all of ``node``'s links (log-off); returns ex-neighbors."""
-        peer = self.peers[node]
-        ex = list(peer.neighbors.outgoing.as_tuple())
+        ex = self.arrays.out.row(node)
         for other in ex:
             self.unlink(node, other)
         return ex

@@ -93,9 +93,10 @@ def summarize(eng: FastGnutellaEngine) -> SimulationResult:
     """Summarize a completed engine run into a :class:`SimulationResult`."""
     from repro.obs.convergence import convergence_from_metrics
 
-    online = [p for p in eng.peers if p.online]
+    arrays = eng.arrays
+    online = [u for u in range(arrays.n) if arrays.online[u]]
     mean_degree = (
-        sum(p.degree for p in online) / len(online) if online else 0.0
+        sum(arrays.out.deg[u] for u in online) / len(online) if online else 0.0
     )
     return SimulationResult(
         config=eng.config,

@@ -42,6 +42,7 @@ from repro.sim.monitor import TimeSeries
 from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.statistics import StatsTable
     from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -312,17 +313,21 @@ def _nearest_rank(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[min(rank, len(sorted_vals)) - 1]
 
 
-def _benefit_summary(peers: Iterable[Any], online: Sequence[NodeId]) -> dict[str, float]:
+def _benefit_summary(
+    ledgers: Sequence[StatsTable | None], online: Sequence[NodeId]
+) -> dict[str, float]:
     """Distribution summary of all accumulated benefit scores.
 
     Walks every online peer's :class:`~repro.core.statistics.StatsTable`
-    (``known_nodes()`` is id-ordered, so the collection is deterministic).
+    (``known_nodes()`` is id-ordered, so the collection is deterministic);
+    ``ledgers`` is the engine's ``arrays.stats`` column, ``None`` where a
+    peer was never credited.
     """
-    peer_list = list(peers)
     values: list[float] = []
     for node in online:
-        stats = peer_list[node].stats
-        values.extend(stats.benefit_of(n) for n in stats.known_nodes())
+        stats = ledgers[node]
+        if stats is not None:
+            values.extend(stats.benefit_of(n) for n in stats.known_nodes())
     if not values:
         return {"count": 0.0, "mean": 0.0, "max": 0.0, "p50": 0.0, "p90": 0.0}
     values.sort()
@@ -425,7 +430,7 @@ class TopologySnapshotter:
             now,
             ttl=self.ttl,
             prev=self._prev_outgoing,
-            benefit=_benefit_summary(self.engine.peers, view.online),
+            benefit=_benefit_summary(self.engine.arrays.stats, view.online),
             reachability_sources=self.reachability_sources,
         )
         self.snapshots.append(snap)

@@ -679,15 +679,15 @@ class QueryServer:
         scans the peer table round-robin for an online peer, spreading
         serve load across the population the way real users would.
         """
-        peers = self.engine.peers
+        online = self.engine.arrays.online
         if requested is not None:
-            if requested < len(peers) and peers[requested].online:
+            if requested < len(online) and online[requested]:
                 return NodeId(requested)
             return None
-        n = len(peers)
+        n = len(online)
         for offset in range(n):
             idx = (self._rr_next + offset) % n
-            if peers[idx].online:
+            if online[idx]:
                 self._rr_next = idx + 1
                 return NodeId(idx)
         return None

@@ -15,8 +15,9 @@ Section 4.2's construction, step by step:
   the majority of the songs are requested by very few".
 
 The population is stored flat: one int32 array of every user's songs back to
-back in draw order, and ``n_users + 1`` offsets into it (a CSR). No per-user
-set is kept; :class:`UserLibraries` builds one on demand for analysis.
+back in draw order, and ``n_users + 1`` offsets into it (a CSR), plus one
+``(n_users, n_secondary)`` array of secondary categories. No per-user set or
+tuple is kept; :class:`UserLibraries` builds one on demand for analysis.
 """
 
 from __future__ import annotations
@@ -107,7 +108,9 @@ class UserLibraries:
     favorite:
         ``favorite[u]`` — favorite category of user ``u``.
     secondary:
-        ``secondary[u]`` — tuple of secondary categories of user ``u``.
+        ``(n_users, n_secondary)`` int array; row ``u`` holds user ``u``'s
+        secondary categories in draw order (:meth:`categories` gives them as
+        a tuple of ints).
     items, offsets:
         The CSR: int32 item ids and int64 row offsets.
     libraries:
@@ -119,7 +122,7 @@ class UserLibraries:
         self,
         catalog: MusicCatalog,
         favorite: np.ndarray,
-        secondary: list[tuple[CategoryId, ...]],
+        secondary: np.ndarray,
         items: np.ndarray,
         offsets: np.ndarray,
     ) -> None:
@@ -147,9 +150,13 @@ class UserLibraries:
         """Total songs across all libraries (paper: ~400,000)."""
         return int(self.offsets[-1])
 
+    def categories(self, user: NodeId) -> tuple[CategoryId, ...]:
+        """``user``'s secondary categories, in draw order."""
+        return tuple(self.secondary[user].tolist())
+
     def preferred_categories(self, user: NodeId) -> tuple[CategoryId, ...]:
         """Favorite first, then the secondaries, for ``user``."""
-        return (CategoryId(int(self.favorite[user])), *self.secondary[user])
+        return (CategoryId(int(self.favorite[user])), *self.categories(user))
 
     def owners_index(self) -> dict[ItemId, list[NodeId]]:
         """Inverted index item -> sorted list of holders (analysis helper)."""
@@ -212,7 +219,7 @@ def generate_libraries(
         odd = np.arange(cfg.n_secondary) < extra[:, None]
         counts[:, 1:] = np.minimum(base[:, None] + odd, per_category)
 
-    secondary: list[tuple[CategoryId, ...]] = []
+    secondary = np.empty((cfg.n_users, cfg.n_secondary), dtype=np.int32)
     offsets = np.zeros(cfg.n_users + 1, dtype=np.int64)
     ends = offsets[1:]
     np.cumsum(counts.sum(axis=1), out=ends)
@@ -235,7 +242,7 @@ def generate_libraries(
             secs = np.take_along_axis(
                 secs, np.argsort(np.take_along_axis(keys, secs, axis=1), axis=1), axis=1
             )
-        secondary += [tuple(row) for row in secs.tolist()]
+        secondary[start:stop] = secs
         # Draw order (favorite's songs first, each category's in draw order)
         # is the CSR's order, and the iteration order of the frozensets
         # ``UserLibraries.libraries`` builds from it.

@@ -78,8 +78,11 @@ class QueryModel:
             holders if holders is not None else HolderIndex(libraries.items, libraries.offsets)
         )
         self._mean_interarrival = HOUR / rate_per_hour
-        # Read once per query: plain ints, not ndarray scalars.
+        # Read once per query: plain ints, not ndarray scalars. User u's
+        # secondaries are _secondary[u * k : (u + 1) * k].
         self._favorite: list[int] = np.asarray(libraries.favorite).tolist()
+        self._n_secondary: int = libraries.secondary.shape[1]
+        self._secondary: list[int] = libraries.secondary.reshape(-1).tolist()
 
     @property
     def mean_interarrival(self) -> float:
@@ -92,10 +95,10 @@ class QueryModel:
 
     def sample_category(self, user: NodeId, rng: Draws) -> int:
         """Category of the next query, per the user's preference mix."""
-        secondary = self.libraries.secondary[user]
-        if not secondary or rng.random() < self.favorite_probability:
+        k = self._n_secondary
+        if not k or rng.random() < self.favorite_probability:
             return self._favorite[user]
-        return int(secondary[rng.integers(len(secondary))])
+        return self._secondary[user * k + rng.integers(k)]
 
     def sample_item(
         self,

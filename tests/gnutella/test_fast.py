@@ -87,12 +87,7 @@ class TestInvariantsMidRun:
     def test_invariants_hold_throughout(self):
         """Pause the kernel every simulated 30 min and check the topology."""
         engine = FastGnutellaEngine(small_config(dynamic=True))
-        for user, schedule in enumerate(engine.schedules):
-            if schedule.initially_online:
-                engine.sim.schedule(0.0, engine._login, user)
-            for t in schedule.transitions:
-                engine.sim.schedule_at(t, engine._toggle, user)
-        engine._ran = True
+        engine.start()
         for checkpoint in range(1, 9):
             engine.sim.run(until=checkpoint * 1800.0)
             assert_invariants(engine)

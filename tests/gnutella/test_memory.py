@@ -1,28 +1,40 @@
-"""The engine's holdings cost a bounded number of bytes, built and running.
+"""The engine costs a bounded number of bytes, built and running.
 
 Holdings are kept once: the generator's flat CSR (int32 item ids) and one
 holder index regrouped from it, an owner column sorted by item plus one
 overflow entry per recorded download. A query asks the index who holds its
 item and keeps nothing: the flood kernel stamps the holders into one
-per-node array it reuses. These guards fail if per-user set copies of the
-libraries come back (about 200 bytes per (node, item) entry at 10,000
-peers), or if answering queries starts to leave per-item state behind (a
-cached holder set per item asked about grew a 10,000-peer run by ~13 MiB
-in its first quarter hour).
+per-node array it reuses. Peers are columns: the build makes no Python
+object per peer (no view, no churn schedule, no secondary tuple), and a
+benefit ledger appears only on a peer's first credit. These guards fail if
+per-user set copies of the libraries come back (about 200 bytes per
+(node, item) entry at 10,000 peers), if per-peer objects come back (they
+took the build from 28 to 33 bytes per entry, and ran three idle full
+collections in a 20,000-peer build), or if answering queries starts to
+leave per-item state behind (a cached holder set per item asked about grew
+a 10,000-peer run by ~13 MiB in its first quarter hour).
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.bench.scale import scale_config
 from repro.gnutella.config import GnutellaConfig
 from repro.gnutella.fast import FastGnutellaEngine
 from repro.types import HOUR
 
-#: Traced peak of building the engine, in bytes per library entry.
-MAX_BYTES_PER_ENTRY = 100
+#: Traced peak of building the engine, in bytes per library entry: 28.0 at
+#: 10,000 peers, set by the holder index's regrouping sort.
+MAX_BYTES_PER_ENTRY = 31
 
 #: Bytes a 10,000-peer run may add over its first quarter hour: events,
 #: metrics and download overflow entries, ~0.9 MiB in all.
@@ -51,6 +63,52 @@ def test_engine_build_memory_per_library_entry():
     assert peak / entries <= MAX_BYTES_PER_ENTRY, (
         f"{peak / entries:.0f} B per library entry ({peak / 2**20:.1f} MiB traced peak)"
     )
+
+
+#: Builds the benchmark's 20,000-peer world in a fresh interpreter after the
+#: benchmark child's imports, counting full (generation-2) collections and the
+#: per-peer views and ledgers the build leaves alive. A fresh process, since
+#: whether a full collection runs depends on the long-lived heap.
+BUILD_PROBE = """
+import gc, json
+import benchmarks.e2e.child  # the benchmark child's imports
+from benchmarks.e2e.workloads import build_world, spec_for
+from repro.core.soa import SoAPeer
+from repro.core.statistics import StatsTable
+
+def alive(kind):
+    return sum(type(o) is kind for o in gc.get_objects())
+
+before = alive(SoAPeer), alive(StatsTable)
+full = []
+gc.callbacks.append(lambda phase, info: full.append(1) if (phase, info["generation"]) == ("start", 2) else None)
+world = build_world(spec_for("scale_20k", 0, 12))
+gc.callbacks.clear()
+print(json.dumps({
+    "full_collections": len(full),
+    "views": alive(SoAPeer) - before[0],
+    "ledgers": alive(StatsTable) - before[1],
+    "stored_ledgers": sum(s is not None for s in world.engine.arrays.stats),
+}))
+"""
+
+
+def test_build_runs_no_full_collection_and_builds_nothing_per_peer():
+    src = Path(repro.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", BUILD_PROBE],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": os.pathsep.join((str(src), str(src.parent))), "PATH": "/usr/bin:/bin"},
+        timeout=300,
+        check=True,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "full_collections": 0,
+        "views": 0,
+        "ledgers": 0,
+        "stored_ledgers": 0,
+    }
 
 
 def _run_bytes(config: GnutellaConfig) -> int:

@@ -189,8 +189,9 @@ class TestEdgeCases:
         catalog = MusicCatalog(n_items=100, n_categories=2)
         cfg = LibraryConfig(n_users=5, mean_size=20, std_size=0, n_secondary=0)
         pop = generate_libraries(catalog, np.random.default_rng(0), cfg)
+        assert pop.secondary.shape == (5, 0)
         for user in range(5):
-            assert pop.secondary[user] == ()
+            assert pop.categories(user) == ()
             fav = int(pop.favorite[user])
             for item in pop.libraries[user]:
                 assert catalog.category_of(item) == fav

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
+from repro.rng import ScalarDraws
 from repro.types import HOUR
 from repro.workload.catalog import MusicCatalog
 from repro.workload.library import LibraryConfig, generate_libraries
@@ -74,6 +77,47 @@ class TestCategorySelection:
         qm = QueryModel(pop, favorite_probability=0.0)
         rng = np.random.default_rng(1)
         assert qm.sample_category(0, rng) == int(pop.favorite[0])
+
+
+def reference_sample_category(favorite_probability, favorite, secondary, user, rng):
+    """``QueryModel.sample_category`` as it read per-user secondary tuples."""
+    secs = secondary[user]
+    if not secs or rng.random() < favorite_probability:
+        return int(favorite[user])
+    return int(secs[rng.integers(len(secs))])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_secondary=st.sampled_from([0, 1, 3, 5]),
+    favorite_probability=st.sampled_from([0.0, 0.5, 1.0]),
+    scalar=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_sample_category_draws_as_the_tuple_reference(
+    seed, n_secondary, favorite_probability, scalar
+):
+    """The flat secondary column gives the tuple rows' values, from the same words."""
+    catalog = MusicCatalog(n_items=600, n_categories=6)
+    pop = generate_libraries(
+        catalog,
+        np.random.default_rng(seed),
+        LibraryConfig(n_users=20, mean_size=30, std_size=5, n_secondary=n_secondary),
+    )
+    assert pop.secondary.shape == (20, n_secondary)
+    secondary = [pop.categories(user) for user in range(20)]
+    assert all(type(c) is int for row in secondary for c in row)
+    qm = QueryModel(pop, favorite_probability=favorite_probability)
+    wrap = ScalarDraws if scalar else (lambda gen: gen)
+    rng, ref_rng = wrap(np.random.default_rng(seed)), wrap(np.random.default_rng(seed))
+    users = np.random.default_rng(seed + 1).integers(20, size=200).tolist()
+    got = [qm.sample_category(user, rng) for user in users]
+    want = [
+        reference_sample_category(favorite_probability, pop.favorite, secondary, user, ref_rng)
+        for user in users
+    ]
+    assert got == want
+    assert [rng.random() for _ in range(3)] == [ref_rng.random() for _ in range(3)]
 
 
 class TestItemSelection:
