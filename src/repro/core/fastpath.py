@@ -37,9 +37,9 @@ with these structural replacements:
   is the bulk of a flood and never forwards, is read with one C-level
   ``itemgetter`` over the level slice instead of a Python-level loop. The
   query leaves nothing behind: no holder set is built, and none is cached;
-* **precomputed delay rows** (:meth:`~repro.net.latency.LatencyModel.
-  delay_rows`): each result's path delay is reconstructed by plain
-  ``rows[a][b]`` indexing instead of a method call per path edge.
+* **one delay accessor** (:meth:`~repro.net.latency.LatencyModel.
+  delay_rows`): each result's path delay is reconstructed by one
+  ``delay(a, b)`` read of the packed per-pair table per path edge.
 
 The reference :func:`~repro.core.search.generic_search` stays the semantics
 oracle. The fast path is an optimization, not a semantics change: for every
@@ -55,14 +55,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import Sequence
+from typing import Protocol
 
 import numpy as np
 
 from repro.core.soa import NeighborTable
 from repro.types import ItemId, NodeId, QueryOutcome, QueryResult
 
-__all__ = ["FloodFastPath", "HolderIndex"]
+__all__ = ["FloodFastPath", "HolderIndex", "PairDelay"]
 
 #: Holder counts up to this are stamped by a Python loop over the owner
 #: slice, larger ones by one NumPy fancy assignment. Measured per call into
@@ -95,13 +95,20 @@ class HolderIndex:
 
     def __init__(self, items: np.ndarray, offsets: np.ndarray) -> None:
         self.n_nodes = len(offsets) - 1
-        # A stable sort by item leaves each item's owners in ascending node
-        # order, since the CSR lists users in node order.
-        owners = np.repeat(np.arange(self.n_nodes, dtype=np.int32), np.diff(offsets))
-        self._owner_array = owners[np.argsort(items, kind="stable")]
-        self._owners = memoryview(self._owner_array)
+        # Offsets first: bincount casts the items to an int64 copy, which
+        # must not be alive next to the keys.
         starts = np.zeros(int(items.max(initial=-1)) + 2, dtype=np.int64)
         np.cumsum(np.bincount(items, minlength=len(starts) - 1), out=starts[1:])
+        # One int64 key per entry, (item << 32) | owner, sorted in place:
+        # by item, then owner, with no index array and no gather. Sorting
+        # the values themselves makes the order independent of stability.
+        keys = items.astype(np.int64)
+        keys <<= 32
+        keys |= np.repeat(np.arange(self.n_nodes, dtype=np.int32), np.diff(offsets))
+        keys.sort()
+        keys &= 0xFFFFFFFF
+        self._owner_array = keys.astype(np.int32)
+        self._owners = memoryview(self._owner_array)
         self._starts = memoryview(starts)
         self._n_items = len(starts) - 1
         #: Holders recorded after construction, per item, in add order.
@@ -145,6 +152,14 @@ class HolderIndex:
         return self.n_nodes
 
 
+class PairDelay(Protocol):
+    """The one-way delay of a link, ``delay(a, b)``, over ``len()`` nodes."""
+
+    def __call__(self, a: NodeId, b: NodeId, /) -> float: ...
+
+    def __len__(self) -> int: ...
+
+
 class FloodFastPath:
     """The flood-query hot path over one live overlay.
 
@@ -158,10 +173,11 @@ class FloodFastPath:
         The live :class:`HolderIndex`, stamped afresh at the start of
         every query: a download recorded through
         :meth:`HolderIndex.add_holder` is seen by the next query.
-    delay_rows:
-        ``delay_rows[a][b]`` is the one-way delay of the ``a``-``b`` link as
-        a Python float — :meth:`repro.net.latency.LatencyModel.delay_rows`
-        (row memoryviews of the delay matrix, or the lazy per-pair view).
+    delay:
+        ``delay(a, b)`` is the one-way delay of the ``a``-``b`` link as a
+        Python float, and ``len(delay)`` the node count —
+        :meth:`repro.net.latency.LatencyModel.delay_rows` (a read of the
+        packed per-pair table, or of the lazy per-pair cache).
     max_hops:
         The default hop-limit terminating condition (Gnutella TTL).
 
@@ -175,7 +191,7 @@ class FloodFastPath:
         "_slab_deg",
         "_slab_stride",
         "_holdings",
-        "_delay_rows",
+        "_delay",
         "max_hops",
         "_visited",
         "_held",
@@ -192,14 +208,14 @@ class FloodFastPath:
         self,
         adjacency: NeighborTable,
         holdings: HolderIndex,
-        delay_rows: Sequence[Sequence[float]],
+        delay: PairDelay,
         max_hops: int,
     ) -> None:
         n = len(adjacency)
-        if len(holdings) != n or len(delay_rows) != n:
+        if len(holdings) != n or len(delay) != n:
             raise ValueError(
-                f"adjacency ({n}), holdings ({len(holdings)}) and delay rows "
-                f"({len(delay_rows)}) must cover the same node population"
+                f"adjacency ({n}), holdings ({len(holdings)}) and delays "
+                f"({len(delay)}) must cover the same node population"
             )
         if max_hops < 1:
             raise ValueError(f"max_hops must be >= 1, got {max_hops}")
@@ -208,7 +224,9 @@ class FloodFastPath:
         self._slab_ids = adjacency.ids
         self._slab_deg = adjacency.deg
         self._slab_stride = adjacency.slots
-        self._delay_rows = delay_rows
+        # Bound once: the interpreter specializes a call of a bound method,
+        # not a call of the instance itself, about half the cost per read.
+        self._delay = delay.__call__
         self.max_hops = max_hops
         self._holdings = holdings
         # Epoch-stamped visited marks: visited[u] == current epoch <=> u has
@@ -252,16 +270,16 @@ class FloodFastPath:
         this, and results are rare relative to enqueues.
         """
         total = 0.0
-        delay_rows = self._delay_rows
+        delay = self._delay
         trace_node = self._trace_node
         span_end = self._span_end
         span_parent = self._span_parent
         while parent >= 0:
             prev = trace_node[parent]
-            total += delay_rows[prev][node]
+            total += delay(prev, node)
             node = prev
             parent = span_parent[bisect_right(span_end, parent)]
-        return total + delay_rows[initiator][node]
+        return total + delay(initiator, node)
 
     def search(
         self,
@@ -287,7 +305,7 @@ class FloodFastPath:
         ids = self._slab_ids
         deg = self._slab_deg
         stride = self._slab_stride
-        delay_rows = self._delay_rows
+        delay = self._delay
         held = self._held
         mark = epoch % 255 + 1
         if mark == 1:
@@ -342,7 +360,7 @@ class FloodFastPath:
                 if held[node] == mark:
                     # Holders reply and do not propagate.
                     results_append(
-                        QueryResult(node, item, 1, 2.0 * delay_rows[initiator][node])
+                        QueryResult(node, item, 1, 2.0 * delay(initiator, node))
                     )
                     continue
                 base = node * stride

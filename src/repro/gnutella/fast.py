@@ -93,18 +93,19 @@ class FastGnutellaEngine:
         therefore same-seed event-stream digests — are bit-identical either
         way, which the digest-equality tests assert.
     eager_delay_matrix:
-        Build the full pairwise delay matrix up front (canonical vectorized
-        draws; see :meth:`repro.net.latency.LatencyModel.delay_matrix`). The
-        engine holds ``delay_rows()``, per-row views of that one float64
-        array (32 MiB at 2,000 peers), never a copy of it. Required by (and
-        forced on by) the fast path; kept on for the reference mode so
-        ``fast`` and ``fast-reference`` runs observe identical per-pair
-        floats. The detailed engine turns it off to preserve its historical
-        lazy first-touch sampling. Above
+        Build the full pairwise delay table up front (canonical vectorized
+        draws; see :meth:`repro.net.latency.LatencyModel.delay_table`). The
+        engine holds ``delay_rows()``, one ``delay(a, b)`` accessor over
+        that packed float64 array (each unordered pair once, 15.25 MiB at
+        2,000 peers), never a copy of it. Required by (and forced on by)
+        the fast path; kept on for the reference mode so ``fast`` and
+        ``fast-reference`` runs observe identical per-pair floats. The
+        detailed engine turns it off to preserve its historical lazy
+        first-touch sampling. Above
         :data:`~repro.net.latency.LAZY_DELAY_NODE_THRESHOLD` nodes the
-        latency model refuses to materialize the O(n^2) matrix and
-        ``delay_rows()`` transparently returns a lazy per-pair view — the
-        flag is then effectively ignored.
+        latency model refuses to materialize the O(n^2) table and
+        ``delay_rows()`` transparently returns an accessor over the lazy
+        per-pair cache — the flag is then effectively ignored.
 
     Per-node state (online flags, counters, neighbor rows, benefit ledgers)
     lives in the flat struct-of-arrays columns of
@@ -190,18 +191,18 @@ class FastGnutellaEngine:
         self.protocol.now = lambda: self.sim.now
         self.view = _QueryView(self.arrays.out, self.holders, self.latency)
         self.termination = TTLTermination(config.max_hops)
-        # Delays are static per run, so materialize the full pairwise matrix
+        # Delays are static per run, so materialize the full pairwise table
         # up front (canonical vectorized draws). Built for the reference
         # mode too — not only when the fast path engages — so a ``fast`` and
         # a ``fast-reference`` run of the same config observe the exact same
         # per-pair floats, which is what makes their event-stream digests
-        # bit-identical. Above the lazy threshold ``delay_rows()`` returns a
-        # per-pair lazy view instead of the O(n^2) matrix; the keyed draws
-        # behind it are touch-order independent, so the fast/fast-reference
-        # pairing survives at scale too.
-        self._delay_rows = None
+        # bit-identical. Above the lazy threshold ``delay_rows()`` reads
+        # through the per-pair cache instead of the O(n^2) table; the keyed
+        # draws behind it are touch-order independent, so the
+        # fast/fast-reference pairing survives at scale too.
+        self._delay = None
         if eager_delay_matrix:
-            self._delay_rows = self.latency.delay_rows()
+            self._delay = self.latency.delay_rows()
 
         # The two streams with a scalar draw per login, top-up and query get
         # numpy's values from raw-word blocks. ``query-timing`` draws ziggurat
@@ -228,15 +229,15 @@ class FastGnutellaEngine:
         # hop limit. Every other strategy keeps the generic reference path.
         self._fastpath: FloodFastPath | None = None
         if use_fastpath and kind == "flood":
-            if self._delay_rows is None:
-                # The fast path needs the precomputed rows; force the build.
-                self._delay_rows = self.latency.delay_rows()
+            if self._delay is None:
+                # The fast path needs the precomputed table; force the build.
+                self._delay = self.latency.delay_rows()
             # The kernel walks the live outgoing id slab (no per-node row
             # objects) and reads the engine's one holder index.
             self._fastpath = FloodFastPath(
                 self.arrays.out,
                 self.holders,
-                self._delay_rows,
+                self._delay,
                 self.termination.max_hops,
             )
         self._ran = False

@@ -435,8 +435,8 @@ class FastpathParityRule(ProjectRule):
     #: Reference-side parameters with no direct fast-path twin, and why
     #: that is sound.
     _REFERENCE_ONLY: ClassVar[dict[str, str]] = {
-        "view": "decomposed into the fast path's adjacency/holdings/"
-                "delay_rows snapshot arrays",
+        "view": "decomposed into the fast path's adjacency/holdings "
+                "arrays and its delay accessor",
         "termination": "served by max_hops: the fast path implements plain "
                        "TTL flood termination only, and engines guard "
                        "engagement on that",
@@ -455,7 +455,7 @@ class FastpathParityRule(ProjectRule):
     _FASTPATH_ONLY: ClassVar[dict[str, str]] = {
         "adjacency": "flat-array decomposition of the reference NetworkView",
         "holdings": "flat-array decomposition of the reference NetworkView",
-        "delay_rows": "flat-array decomposition of the reference NetworkView",
+        "delay": "per-pair accessor decomposition of the reference NetworkView",
         "max_hops": "carries the reference 'termination' TTL bound",
     }
 

@@ -14,16 +14,19 @@ pair (rather than per message) also lets the fast engine compute path delays
 analytically.
 
 Because delays are static per run, the whole pairwise table can be
-precomputed: :meth:`LatencyModel.delay_matrix` materializes every pair with
-vectorized draws (canonical upper-triangle order, a block of rows at a
-time), after which :meth:`~LatencyModel.one_way_delay` becomes a plain table
-read and :meth:`~LatencyModel.delay_rows` hands the flood fast path one
-``memoryview`` per row of that same array, with no method dispatch at all.
-The one read-only float64 array is the only resident copy of the table. It
-is built lazily (first request) and never invalidated.
+precomputed: :meth:`LatencyModel.delay_table` materializes every unordered
+pair once, as one read-only float64 array of ``n(n-1)/2`` entries in
+canonical ``(a, b), a < b`` order (the packed upper triangle), drawn with
+vectorized calls a block of rows at a time and written straight into that
+array. After the build, :meth:`~LatencyModel.one_way_delay` becomes a
+plain table read and :meth:`~LatencyModel.delay_rows` hands the flood fast
+path one ``delay(a, b)`` accessor over that same array: it orders the pair
+and reads ``packed[a*(2n-a-3)//2 + b - 1]``, a Python float. The packed
+array is the only resident copy of the table. It is built lazily (first
+request) and never invalidated.
 
-The precompute is O(n^2): at the paper's 2,000 users it is 32 MiB and the
-right call; at 100k it would be a 10^10-entry allocation. Above
+The precompute is O(n^2): at the paper's 2,000 users it is 15.25 MiB and
+the right call; at 100k it would be a 5*10^9-entry allocation. Above
 :data:`LAZY_DELAY_NODE_THRESHOLD` nodes the model therefore refuses to
 materialize and switches to *stateless keyed* per-pair draws: each unordered
 pair's delay comes from its own counter-based :class:`numpy.random.Philox`
@@ -32,13 +35,13 @@ pair's canonical index), cached on first touch. Keyed draws make a pair's
 float a pure function of ``(seed, pair)`` — independent of the order pairs
 are first touched — so a fast-path run and a reference run, which touch
 pairs in different orders, still observe identical floats, preserving the
-digest gate at every scale. :meth:`~LatencyModel.delay_rows` then returns a
-lazy row view (``rows[a][b]`` computes through the pair cache) instead of
-views of a table. The per-pair *values* differ between the two regimes (same
-truncated-Gaussian distribution, different draw mechanism); the overlay
-evolution does not, because delays never feed back into event scheduling or
-benefit under the delay-independent benefit options — the engine digest
-tests pin a lazy run against an eager run of the same seed.
+digest gate at every scale. :meth:`~LatencyModel.delay_rows` then returns
+an accessor that reads through the pair cache instead of a table. The
+per-pair *values* differ between the two regimes (same truncated-Gaussian
+distribution, different draw mechanism); the overlay evolution does not,
+because delays never feed back into event scheduling or benefit under the
+delay-independent benefit options — the engine digest tests pin a lazy run
+against an eager run of the same seed.
 """
 
 from __future__ import annotations
@@ -53,16 +56,18 @@ from repro.types import NodeId
 
 __all__ = ["DelayParameters", "LatencyModel", "LAZY_DELAY_NODE_THRESHOLD"]
 
-#: Above this many nodes :meth:`LatencyModel.delay_matrix` refuses to
+#: Above this many nodes :meth:`LatencyModel.delay_table` refuses to
 #: materialize (the n^2 table would dwarf the rest of the simulation) and
-#: per-pair delays switch to stateless keyed draws. 4096 nodes is a 128 MiB
-#: float64 matrix — the last size where eager is clearly the better trade.
+#: per-pair delays switch to stateless keyed draws. 4096 nodes is a 64 MiB
+#: packed float64 table — the last size where eager is clearly the better
+#: trade.
 LAZY_DELAY_NODE_THRESHOLD = 4096
 
-#: Rows of the upper triangle drawn per vectorized call in
-#: :meth:`LatencyModel.delay_matrix`. Bounds the build's temporaries to a few
-#: ``rows x n`` arrays; the floats and the generator stream do not depend on it.
-_BUILD_BLOCK_ROWS = 128
+#: Pairs drawn per vectorized call in :meth:`LatencyModel.delay_table`, as
+#: whole rows of the upper triangle (at least one row per call). Bounds the
+#: build's temporaries to a few arrays of this many entries; the floats and
+#: the generator stream do not depend on it.
+_BUILD_BLOCK_PAIRS = 2**15
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +125,7 @@ class LatencyModel:
         Distribution parameters; defaults to the paper's values.
     lazy_threshold:
         Node count above which the pairwise regime goes lazy (stateless
-        keyed draws, no matrix). ``None`` uses the module default
+        keyed draws, no table). ``None`` uses the module default
         :data:`LAZY_DELAY_NODE_THRESHOLD`; tests pass explicit values to
         force either regime at any size.
     """
@@ -139,12 +144,15 @@ class LatencyModel:
         self._cache: dict[int, float] = {}
         self._means = np.asarray(self.params.means, dtype=float)
         self._n = bandwidth.n_nodes
-        self._matrix: np.ndarray | None = None
-        self._rows: list[memoryview] | None = None
+        self._table: np.ndarray | None = None
+        #: :meth:`delay_rows`'s accessor in the eager regime, over the
+        #: packed table once it is built.
+        self._packed: _PackedDelay | None = None
         if lazy_threshold is None:
             lazy_threshold = LAZY_DELAY_NODE_THRESHOLD
         self._pairwise_lazy = self._n > lazy_threshold
-        self._lazy_rows: _LazyDelayRows | None = None
+        #: :meth:`delay_rows`'s accessor in the lazy regime.
+        self._keyed = _KeyedDelay(self) if self._pairwise_lazy else None
         if self._pairwise_lazy:
             # One draw anchors every keyed pair stream to this model's RNG
             # stream (and therefore to the simulation seed). Drawn eagerly so
@@ -168,16 +176,16 @@ class LatencyModel:
         """One-way delay in seconds between ``a`` and ``b`` (symmetric).
 
         A node's delay to itself is zero (local service). Once the pairwise
-        matrix has been materialized (:meth:`delay_matrix`), every lookup is
-        served from it, so matrix users and per-pair users observe the exact
+        table has been materialized (:meth:`delay_table`), every lookup is
+        served from it, so table users and per-pair users observe the exact
         same floats.
         """
         if not (0 <= a < self._n and 0 <= b < self._n):
             raise NetworkError(f"node ids out of range: {a}, {b} (n={self._n})")
         if a == b:
             return 0.0
-        if self._rows is not None:
-            return self._rows[a][b]
+        if self._packed is not None:
+            return self._packed(a, b)
         key = self._pair_key(a, b)
         delay = self._cache.get(key)
         if delay is None:
@@ -185,17 +193,19 @@ class LatencyModel:
             self._cache[key] = delay
         return delay
 
-    def delay_matrix(self) -> np.ndarray:
-        """The full symmetric ``n x n`` one-way-delay matrix (seconds).
+    def delay_table(self) -> np.ndarray:
+        """Every unordered pair's one-way delay (seconds), stored once.
 
-        Built lazily on first request with vectorized draws over the upper
-        triangle in canonical ``(a, b), a < b`` order — a block of rows per
-        call, which consumes the generator exactly as one call over all
-        pairs would — then never invalidated: delays are static per run.
-        Pairs that were already drawn lazily keep their observed values (the
-        matrix overlays the per-pair cache), so a warm model stays
-        self-consistent. After the build, :meth:`one_way_delay` reads from
-        this table. The returned array is read-only.
+        A read-only 1-D float64 array of ``n(n-1)/2`` entries, the upper
+        triangle in canonical ``(a, b), a < b`` order: pair ``(a, b)`` sits
+        at ``a*(2n-a-3)//2 + b - 1``. Built lazily on first request with
+        vectorized draws in that order — a block of rows per call, written
+        straight into the array, which consumes the generator exactly as
+        one call over all pairs would — then never invalidated: delays are
+        static per run. Pairs that were already drawn lazily keep their
+        observed values (the table overlays the per-pair cache), so a warm
+        model stays self-consistent. After the build,
+        :meth:`one_way_delay` reads from this table.
 
         Raises :class:`~repro.errors.NetworkError` in the lazy regime (node
         count above the threshold): the n^2 allocation is exactly what the
@@ -204,68 +214,64 @@ class LatencyModel:
         """
         if self._pairwise_lazy:
             raise NetworkError(
-                f"refusing to materialize a {self._n}x{self._n} delay matrix "
+                f"refusing to materialize the {self._n}-node delay table "
                 f"(population above the lazy threshold); use delay_rows() or "
                 f"one_way_delay(), which draw pairs on demand"
             )
-        if self._matrix is None:
+        if self._table is None:
             n = self._n
             p = self.params
             classes = self.bandwidth.classes
             spread = p.truncation_sigmas * p.std
-            columns = np.arange(n)
-            matrix = np.zeros((n, n), dtype=float)
-            for start in range(0, n, _BUILD_BLOCK_ROWS):
-                stop = min(start + _BUILD_BLOCK_ROWS, n)
-                block = matrix[start:stop]
-                # Boolean selection is row-major: pairs (a, b), a < b, in
-                # canonical order.
-                upper = columns > np.arange(start, stop)[:, None]
-                # The slower endpoint of each pair governs the delay mean.
-                slowest = np.minimum.outer(classes[start:stop], classes)
-                pair_means = self._means[slowest[upper]]
+            table = np.empty(n * (n - 1) // 2, dtype=float)
+            block_rows = max(1, _BUILD_BLOCK_PAIRS // max(1, n - 1))
+            at = 0
+            for start in range(0, n - 1, block_rows):
+                stop = min(start + block_rows, n - 1)
+                # Rows start..stop-1 of the upper triangle, back to back:
+                # the pairs (a, b), a < b, in canonical order. The slower
+                # endpoint of each pair governs the delay mean.
+                slowest = np.concatenate(
+                    [np.minimum(classes[a + 1 :], classes[a]) for a in range(start, stop)]
+                )
+                pair_means = self._means[slowest]
+                out = table[at : at + len(pair_means)]
+                at += len(pair_means)
                 if p.std == 0.0:
-                    block[upper] = np.maximum(pair_means, p.floor)
+                    np.maximum(pair_means, p.floor, out=out)
                 else:
                     raw = self._rng.normal(pair_means, p.std)
                     lo = np.maximum(pair_means - spread, p.floor)
-                    block[upper] = np.clip(raw, lo, pair_means + spread)
-                # Mirror below the diagonal; adding the still-zero lower
-                # half of the diagonal square leaves every float as drawn.
-                matrix[stop:, start:stop] = block[:, stop:].T
-                square = block[:, start:stop]
-                square += square.T
+                    np.clip(raw, lo, pair_means + spread, out=out)
             for key, value in self._cache.items():
                 a, b = divmod(key, n)
-                matrix[a, b] = value
-                matrix[b, a] = value
-            matrix.setflags(write=False)
-            self._matrix = matrix
-            # Read-only views of the array's own rows; indexing one returns
-            # a plain Python float, and no second copy of the table exists.
-            self._rows = [row.data for row in matrix]
-        return self._matrix
+                table[a * (2 * n - a - 3) // 2 + b - 1] = value
+            table.setflags(write=False)
+            self._table = table
+            # A read-only view of the array: indexing it returns a plain
+            # Python float, and no second copy of the table exists.
+            self._packed = _PackedDelay(table.data, n)
+        return self._table
 
-    def delay_rows(self) -> "list[memoryview] | _LazyDelayRows":
-        """Indexable ``rows[a][b]`` delays (hot-path view).
+    def delay_rows(self) -> _PackedDelay | _KeyedDelay:
+        """The hot-path ``delay(a, b)`` accessor, built on first call.
 
-        Below the lazy threshold: one read-only ``memoryview`` per row of
-        :meth:`delay_matrix` — ``rows[a][b]`` is the exact Python float
-        ``one_way_delay(a, b)`` returns, with zero method dispatch and no
-        copy of the table. Above it: a lazy row view whose ``[a][b]``
-        computes through the keyed per-pair cache (same floats as
-        ``one_way_delay``, materializing only the pairs actually touched).
-        Memoryviews do not pickle; nothing pickles a model or its rows
-        (workers build their own from the config).
+        Below the lazy threshold it reads the packed :meth:`delay_table`:
+        ``delay(a, b)`` is the exact Python float ``one_way_delay(a, b)``
+        returns, with no range check and no copy of the table. Above it,
+        ``delay(a, b)`` computes through the keyed per-pair cache (same
+        floats as ``one_way_delay``, materializing only the pairs actually
+        touched). Either way ``len(delay)`` is the node count. The packed
+        accessor holds a ``memoryview``, which does not pickle; nothing
+        pickles a model or its accessor (workers build their own from the
+        config).
         """
-        if self._pairwise_lazy:
-            if self._lazy_rows is None:
-                self._lazy_rows = _LazyDelayRows(self)
-            return self._lazy_rows
-        if self._rows is None:
-            self.delay_matrix()
-            assert self._rows is not None
-        return self._rows
+        if self._keyed is not None:
+            return self._keyed
+        if self._packed is None:
+            self.delay_table()
+            assert self._packed is not None
+        return self._packed
 
     def round_trip(self, a: NodeId, b: NodeId) -> float:
         """Round-trip time: twice the one-way delay."""
@@ -315,51 +321,61 @@ class LatencyModel:
     def cached_pairs(self) -> int:
         """Number of pair delays drawn so far (memory introspection).
 
-        Once the full matrix is materialized every pair is resident.
+        Once the table is materialized every pair is resident.
         """
-        if self._matrix is not None:
+        if self._table is not None:
             return self._n * (self._n - 1) // 2
         return len(self._cache)
 
     @property
-    def has_matrix(self) -> bool:
-        """Whether the full pairwise matrix has been materialized."""
-        return self._matrix is not None
+    def has_table(self) -> bool:
+        """Whether the packed pairwise table has been materialized."""
+        return self._table is not None
 
 
-class _LazyDelayRow:
-    """One source's delays, computed per target through the pair cache."""
+class _PackedDelay:
+    """``delay(a, b)`` over the packed upper triangle of ``n`` nodes.
 
-    __slots__ = ("_model", "_a")
-
-    def __init__(self, model: LatencyModel, a: NodeId) -> None:
-        self._model = model
-        self._a = a
-
-    def __getitem__(self, b: NodeId) -> float:
-        return self._model.one_way_delay(self._a, b)
-
-    def __len__(self) -> int:
-        return self._model.bandwidth.n_nodes
-
-
-class _LazyDelayRows:
-    """``rows[a][b]`` view over a lazy :class:`LatencyModel`.
-
-    Duck-type compatible with the eager row views where it matters (the
-    flood fast path indexes ``rows[a][b]`` per path edge and takes
-    ``len(rows)`` once at bind time). Rows are materialized as tiny proxy
-    objects per access, never as n-float lists — caching a full row would
-    quietly rebuild the O(n^2) table one source at a time.
+    Orders the pair and reads its one entry, pair ``(a, b), a < b`` at
+    ``a*(2n-a-3)//2 + b - 1``; ``delay(a, a)`` is zero.
     """
 
-    __slots__ = ("_model",)
+    __slots__ = ("_packed", "_row_base", "_n")
 
-    def __init__(self, model: LatencyModel) -> None:
-        self._model = model
+    def __init__(self, packed: memoryview, n: int) -> None:
+        self._packed = packed
+        # Row a's offset less one, so that a read is one list index and one
+        # add (n Python ints, against n(n-1)/2 floats in the table).
+        self._row_base = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
+        self._n = n
 
-    def __getitem__(self, a: NodeId) -> _LazyDelayRow:
-        return _LazyDelayRow(self._model, a)
+    def __call__(self, a: NodeId, b: NodeId) -> float:
+        if a < b:
+            return self._packed[self._row_base[a] + b]
+        if a > b:
+            return self._packed[self._row_base[b] + a]
+        return 0.0
 
     def __len__(self) -> int:
-        return self._model.bandwidth.n_nodes
+        return self._n
+
+
+class _KeyedDelay:
+    """``delay(a, b)`` through a lazy model's keyed per-pair cache.
+
+    Holds no delays itself: every read is :meth:`LatencyModel.one_way_delay`,
+    so only the pairs actually touched are ever drawn — never a row, which
+    would quietly rebuild the O(n^2) table one source at a time.
+    """
+
+    __slots__ = ("_one_way_delay", "_n")
+
+    def __init__(self, model: LatencyModel) -> None:
+        self._one_way_delay = model.one_way_delay
+        self._n = model.bandwidth.n_nodes
+
+    def __call__(self, a: NodeId, b: NodeId) -> float:
+        return self._one_way_delay(a, b)
+
+    def __len__(self) -> int:
+        return self._n

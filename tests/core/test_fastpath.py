@@ -76,6 +76,19 @@ def _table(rows, stride):
     return table
 
 
+class _RowDelays:
+    """The kernel's ``delay(a, b)`` accessor over nested per-row lists."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __call__(self, a, b):
+        return self.rows[a][b]
+
+    def __len__(self):
+        return len(self.rows)
+
+
 def _delays(rng, n_nodes):
     delays = rng.uniform(0.01, 0.3, size=(n_nodes, n_nodes))
     return ((delays + delays.T) / 2.0).tolist()
@@ -102,7 +115,7 @@ def _build_world(n_nodes, edge_prob, holder_prob, n_items, seed, symmetric, padd
 
 
 def _agree(table, holdings, delays, max_hops, queries):
-    fastpath = FloodFastPath(table, _index(holdings), delays, max_hops)
+    fastpath = FloodFastPath(table, _index(holdings), _RowDelays(delays), max_hops)
     view = _TableView(table, holdings, delays)
     for initiator, item in queries:
         assert fastpath.search(initiator, item, issued_at=3.5) == generic_search(
@@ -179,7 +192,7 @@ def test_fastpath_dense_duplicate_heavy(seed, max_hops):
 def test_empty_neighborhood():
     """An isolated initiator: zero messages, zero contacts, no results."""
     table, holdings, delays = _build_world(3, 0.0, 1.0, 1, 0, True)
-    fastpath = FloodFastPath(table, _index(holdings), delays, 2)
+    fastpath = FloodFastPath(table, _index(holdings), _RowDelays(delays), 2)
     outcome = fastpath.search(0, 0)
     assert outcome.messages == 0
     assert outcome.nodes_contacted == 0
@@ -193,7 +206,7 @@ def test_live_rows_track_mutation():
     """The kernel sees NeighborTable mutations with no rebuild."""
     table = NeighborTable(3, 2)
     delays = [[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]]
-    fastpath = FloodFastPath(table, _index([set(), set(), {7}]), delays, 2)
+    fastpath = FloodFastPath(table, _index([set(), set(), {7}]), _RowDelays(delays), 2)
     assert fastpath.search(0, 7).messages == 0
 
     table.add(0, 1)
@@ -228,7 +241,7 @@ def test_live_mutations_match_reference(n_nodes, stride, seed, max_hops, ops):
     table = NeighborTable(n_nodes, stride)
     holdings = [{int(rng.integers(3))} for _ in range(n_nodes)]
     delays = _delays(rng, n_nodes)
-    fastpath = FloodFastPath(table, _index(holdings), delays, max_hops)
+    fastpath = FloodFastPath(table, _index(holdings), _RowDelays(delays), max_hops)
     view = _TableView(table, holdings, delays)
     for op, a, b in ops:
         a, b = a % n_nodes, b % n_nodes
@@ -251,7 +264,7 @@ def test_holder_marks_wrap_around():
     table = _table([[1], [0, 2], [1]], 2)
     holdings = [set(), {7}, {7}]
     delays = [[0.05 * (a != b) for b in range(3)] for a in range(3)]
-    fastpath = FloodFastPath(table, _index(holdings), delays, 2)
+    fastpath = FloodFastPath(table, _index(holdings), _RowDelays(delays), 2)
     view = _TableView(table, holdings, delays)
     for query in range(3 * 255):
         item = 7 if query < 255 and query % 50 == 0 else 8
@@ -266,7 +279,7 @@ def test_add_holder_updates_index():
     holdings = [set(), set()]
     delays = [[0.0, 0.5], [0.5, 0.0]]
     index = _index(holdings)
-    fastpath = FloodFastPath(table, index, delays, 2)
+    fastpath = FloodFastPath(table, index, _RowDelays(delays), 2)
     assert not fastpath.search(0, 3).hit
 
     holdings[1].add(3)
@@ -292,7 +305,7 @@ def test_add_holder_before_and_after_first_query(params, ops):
     table, holdings, delays = _build_world(*params)
     n_nodes, n_items = params[0], params[3]
     index = _index(holdings)
-    fastpath = FloodFastPath(table, index, delays, 3)
+    fastpath = FloodFastPath(table, index, _RowDelays(delays), 3)
     view = _TableView(table, holdings, delays)
     for is_add, node_pick, item_pick in ops:
         node, item = node_pick % n_nodes, item_pick % (n_items + 1)
@@ -309,11 +322,11 @@ def test_constructor_validation():
     table = NeighborTable(2, 1)
     delays = [[0.0, 0.1], [0.1, 0.0]]
     with pytest.raises(ValueError, match="same node population"):
-        FloodFastPath(table, _index([set()]), delays, 2)
+        FloodFastPath(table, _index([set()]), _RowDelays(delays), 2)
     with pytest.raises(ValueError, match="same node population"):
-        FloodFastPath(table, _index([set(), set()]), [[0.0]], 2)
+        FloodFastPath(table, _index([set(), set()]), _RowDelays([[0.0]]), 2)
     with pytest.raises(ValueError, match="max_hops"):
-        FloodFastPath(table, _index([set(), set()]), delays, 0)
+        FloodFastPath(table, _index([set(), set()]), _RowDelays(delays), 0)
 
 
 def test_explicit_max_hops_overrides_default():
@@ -321,7 +334,7 @@ def test_explicit_max_hops_overrides_default():
     table = _table([[1], [0, 2], [1, 3], [2]], 2)
     holdings = [set(), set(), set(), {1}]
     delays = [[0.05 * (a != b) for b in range(4)] for a in range(4)]
-    fastpath = FloodFastPath(table, _index(holdings), delays, 2)
+    fastpath = FloodFastPath(table, _index(holdings), _RowDelays(delays), 2)
     assert not fastpath.search(0, 1).hit
     assert fastpath.search(0, 1, max_hops=3).hit
     view = _TableView(table, holdings, delays)

@@ -32,9 +32,10 @@ from repro.gnutella.config import GnutellaConfig
 from repro.gnutella.fast import FastGnutellaEngine
 from repro.types import HOUR
 
-#: Traced peak of building the engine, in bytes per library entry: 28.0 at
-#: 10,000 peers, set by the holder index's regrouping sort.
-MAX_BYTES_PER_ENTRY = 31
+#: Traced peak of building the engine, in bytes per library entry: 20.6 at
+#: 10,000 peers (27.6 while the holder index regrouped through an argsort
+#: and a gather rather than one in-place sort of combined keys).
+MAX_BYTES_PER_ENTRY = 22
 
 #: Bytes a 10,000-peer run may add over its first quarter hour: events,
 #: metrics and download overflow entries, ~0.9 MiB in all.
@@ -48,7 +49,7 @@ MAX_SERVE_BYTES = 64 * 2**10
 
 
 def test_engine_build_memory_per_library_entry():
-    # The 10k tier is above the lazy-delay threshold: no O(n^2) delay matrix
+    # The 10k tier is above the lazy-delay threshold: no O(n^2) delay table
     # is built, so the peak is the world's per-node and per-entry state.
     config = scale_config(10_000, 0)
     tracemalloc.start()
@@ -57,7 +58,7 @@ def test_engine_build_memory_per_library_entry():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not isinstance(engine._delay_rows, list), "expected the lazy delay view"
+    assert engine.latency.is_lazy, "expected the lazy delay regime"
     entries = engine.libraries.total_songs()
     assert entries > 400_000
     assert peak / entries <= MAX_BYTES_PER_ENTRY, (

@@ -53,6 +53,16 @@ def reference_delay_matrix(lm):
     return matrix
 
 
+def delay_square(lm):
+    """The full symmetric ``n x n`` table, rebuilt from the packed triangle."""
+    n = lm._n
+    square = np.zeros((n, n), dtype=float)
+    upper = np.triu_indices(n, k=1)
+    square[upper] = lm.delay_table()
+    square.T[upper] = lm.delay_table()
+    return square
+
+
 class TestDelayParameters:
     def test_defaults_match_paper(self):
         p = DelayParameters()
@@ -102,7 +112,7 @@ class TestLatencyModel:
         with pytest.raises(NetworkError):
             lm.one_way_delay(a, b)
         if lazy_threshold is None:
-            lm.delay_matrix()
+            lm.delay_table()
             with pytest.raises(NetworkError):
                 lm.one_way_delay(a, b)
 
@@ -148,26 +158,26 @@ class TestLatencyModel:
 class TestDelayMatrix:
     def test_symmetric_zero_diagonal(self):
         lm = make_model(n=60)
-        matrix = lm.delay_matrix()
-        assert matrix.shape == (60, 60)
+        assert lm.delay_table().shape == (60 * 59 // 2,)
+        matrix = delay_square(lm)
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0.0)
         off_diag = matrix[~np.eye(60, dtype=bool)]
         assert np.all(off_diag > 0.0)
 
     def test_lookup_served_from_matrix(self):
-        """After the build, one_way_delay reads the exact matrix floats."""
+        """After the build, one_way_delay reads the exact table floats."""
         lm = make_model(n=40)
-        rows = lm.delay_rows()
+        delay = lm.delay_rows()
         for a in range(40):
             for b in range(40):
-                assert lm.one_way_delay(a, b) == rows[a][b]
+                assert lm.one_way_delay(a, b) == delay(a, b)
 
     def test_precached_lazy_pairs_preserved(self):
         """Pairs drawn before the build keep their observed values."""
         lm = make_model(n=30)
         warm = {(a, b): lm.one_way_delay(a, b) for a, b in [(0, 1), (7, 3), (29, 10)]}
-        matrix = lm.delay_matrix()
+        matrix = delay_square(lm)
         for (a, b), value in warm.items():
             assert matrix[a, b] == value
             assert matrix[b, a] == value
@@ -175,21 +185,21 @@ class TestDelayMatrix:
 
     def test_has_matrix_and_cached_pairs(self):
         lm = make_model(n=20)
-        assert not lm.has_matrix
+        assert not lm.has_table
         lm.one_way_delay(0, 1)
         assert lm.cached_pairs == 1
-        lm.delay_matrix()
-        assert lm.has_matrix
+        lm.delay_table()
+        assert lm.has_table
         assert lm.cached_pairs == 20 * 19 // 2
 
     def test_matrix_built_once(self):
         lm = make_model(n=15)
-        assert lm.delay_matrix() is lm.delay_matrix()
+        assert lm.delay_table() is lm.delay_table()
         assert lm.delay_rows() is lm.delay_rows()
 
     def test_truncation_respected_in_matrix(self):
         lm = make_model(n=50)
-        matrix = lm.delay_matrix()
+        matrix = delay_square(lm)
         p = lm.params
         for i in range(50):
             for j in range(i + 1, 50):
@@ -201,7 +211,7 @@ class TestDelayMatrix:
     def test_zero_std_matrix_is_exact_means(self):
         params = DelayParameters(std=0.0)
         lm = make_model(n=20, classes=[2] * 20, params=params)
-        matrix = lm.delay_matrix()
+        matrix = delay_square(lm)
         off_diag = matrix[~np.eye(20, dtype=bool)]
         assert np.all(off_diag == 0.070)
 
@@ -210,11 +220,13 @@ class TestDelayMatrix:
         n=st.integers(2, 300),
         seed=st.integers(0, 2**32 - 1),
         std=st.sampled_from([0.0, 0.02]),
-        block_rows=st.integers(1, 64),
+        block_pairs=st.integers(1, 20_000),
         warm=st.lists(st.tuples(st.integers(0, 299), st.integers(0, 299)), max_size=5),
     )
-    def test_block_build_equals_one_shot_build(self, n, seed, std, block_rows, warm):
-        """Same floats and same generator consumption as one draw over all pairs."""
+    def test_block_build_equals_one_shot_build(self, n, seed, std, block_pairs, warm):
+        """Same floats and same generator consumption as one draw over all
+        pairs: in the table, and through ``delay(a, b)`` either way round,
+        as a Python float."""
         params = DelayParameters(std=std)
         blockwise = make_model(n=n, seed=seed, params=params)
         one_shot = make_model(n=n, seed=seed, params=params)
@@ -222,53 +234,65 @@ class TestDelayMatrix:
             assert blockwise.one_way_delay(a % n, b % n) == one_shot.one_way_delay(a % n, b % n)
         expected = reference_delay_matrix(one_shot)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(latency, "_BUILD_BLOCK_ROWS", block_rows)
-            got = blockwise.delay_matrix()
-        assert np.array_equal(got, expected)
+            patch.setattr(latency, "_BUILD_BLOCK_PAIRS", block_pairs)
+            delay = blockwise.delay_rows()
+        assert np.array_equal(delay_square(blockwise), expected)
         assert blockwise._rng.bit_generator.state == one_shot._rng.bit_generator.state
+        assert len(delay) == n
+        expected = expected.tolist()
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    value = delay(a, b)
+                    assert type(value) is float
+                    assert value == delay(b, a) == blockwise.one_way_delay(a, b) == expected[a][b]
 
     def test_paper_scale_matrix_pinned(self):
         """The n=2000 table, byte for byte, as every commit so far built it."""
         # BandwidthModel(2000, default_rng(1)) / LatencyModel(bw, default_rng(2))
         lm = make_model(n=2000, seed=1)
-        assert hashlib.sha256(lm.delay_matrix().tobytes()).hexdigest() == (
+        assert hashlib.sha256(delay_square(lm).tobytes()).hexdigest() == (
             "de160aba54eb8d1709ddd7ef6104dc3764d692d40602e557574c57c51957b5fa"
         )
 
     def test_rows_are_float_views_of_the_matrix(self):
         lm = make_model(n=40)
-        rows = lm.delay_rows()
-        matrix = lm.delay_matrix()
-        assert len(rows) == 40
-        assert all(len(row) == 40 for row in rows)
+        delay = lm.delay_rows()
+        matrix = delay_square(lm)
+        assert len(delay) == 40
         for a, b in [(0, 1), (7, 3), (39, 0), (12, 12)]:
-            assert type(rows[a][b]) is float
-            assert rows[a][b] == rows[b][a] == lm.one_way_delay(a, b) == matrix[a, b]
-        assert all(np.shares_memory(np.asarray(row), matrix) for row in rows)
+            assert type(delay(a, b)) is float
+            assert delay(a, b) == delay(b, a) == lm.one_way_delay(a, b) == matrix[a, b]
+        # The accessor reads the one packed array, not a copy of it.
+        assert np.shares_memory(np.asarray(delay._packed), lm.delay_table())
 
     def test_table_is_read_only(self):
         lm = make_model(n=12)
         lm.one_way_delay(2, 5)  # the pre-drawn overlay is written before the freeze
-        matrix = lm.delay_matrix()
+        table = lm.delay_table()
         with pytest.raises(ValueError):
-            matrix[1, 2] = 0.5
+            table[1] = 0.5
         with pytest.raises(TypeError):
-            lm.delay_rows()[1][2] = 0.5
+            lm.delay_rows()._packed[1] = 0.5
 
     def test_build_memory_stays_near_one_table(self):
-        """No ``tolist()`` copy, no full-size temporary: under 2x the array."""
-        lm = make_model(n=2000)
+        """No square, no mirror, no full-size temporary: under 1.25x the
+        packed array (a square and its block temporaries read 2.65x)."""
+        n = 2000
+        lm = make_model(n=n)
         tracemalloc.start()
         try:
             lm.delay_rows()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * lm.delay_matrix().nbytes
+        packed_bytes = n * (n - 1) // 2 * 8
+        assert lm.delay_table().nbytes == packed_bytes
+        assert peak < 1.25 * packed_bytes
 
 
 class TestLazyRegime:
-    """Above the node threshold: no matrix, keyed on-demand pair draws."""
+    """Above the node threshold: no table, keyed on-demand pair draws."""
 
     def test_threshold_selects_regime(self):
         assert not make_model(n=50, lazy_threshold=50).is_lazy
@@ -280,17 +304,50 @@ class TestLazyRegime:
     def test_delay_matrix_refuses(self):
         lm = make_model(n=40, lazy_threshold=10)
         with pytest.raises(NetworkError, match="refusing to materialize"):
-            lm.delay_matrix()
-        assert not lm.has_matrix
+            lm.delay_table()
+        assert not lm.has_table
 
     def test_rows_proxy_matches_one_way_delay(self):
         lm = make_model(n=40, lazy_threshold=10)
-        rows = lm.delay_rows()
-        assert len(rows) == 40
-        assert len(rows[0]) == 40
+        delay = lm.delay_rows()
+        assert len(delay) == 40
         for a, b in [(0, 1), (1, 0), (5, 39), (12, 12)]:
-            assert rows[a][b] == lm.one_way_delay(a, b)
-        assert lm.delay_rows() is rows  # the proxy is cached
+            assert delay(a, b) == lm.one_way_delay(a, b)
+        assert lm.delay_rows() is delay  # the accessor is cached
+        assert lm.cached_pairs == 2  # only the touched pairs materialized
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        std=st.sampled_from([0.0, 0.02]),
+        warm=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=5),
+    )
+    def test_lazy_accessor_reads_the_pair_cache(self, n, seed, std, warm):
+        """Above the threshold the accessor is the keyed pair cache: the
+        same floats as ``one_way_delay`` on a model touched the other way
+        round, and nothing drawn from the model's own stream."""
+        params = DelayParameters(std=std)
+        model = make_model(n=n, seed=seed, params=params, lazy_threshold=1)
+        other = make_model(n=n, seed=seed, params=params, lazy_threshold=1)
+        for a, b in warm:
+            model.one_way_delay(a % n, b % n)
+        state = model._rng.bit_generator.state
+        delay = model.delay_rows()
+        assert len(delay) == n
+        for a in reversed(range(n)):
+            for b in range(n):
+                if a != b:
+                    other.one_way_delay(b, a)
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                value = delay(a, b)
+                assert type(value) is float
+                assert value == delay(b, a) == model.one_way_delay(a, b) == other.one_way_delay(a, b)
+        assert model._rng.bit_generator.state == state
+        assert not model.has_table
 
     def test_touch_order_independent(self):
         """The keyed draw makes pair values a pure function of (seed, pair),
