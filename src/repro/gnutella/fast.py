@@ -174,6 +174,9 @@ class FastGnutellaEngine:
             self.initially_online[u] = schedule.initially_online
             self.churn_times.extend(schedule.transitions)
             self.churn_offsets.append(len(self.churn_times))
+        #: Per user, the index in ``churn_times`` of the next transition not
+        #: yet queued; :meth:`start` and each toggle advance it.
+        self._churn_cursor = self.churn_offsets[:-1]
 
         self.sim = Simulator()
         self.metrics = SimulationMetrics(config.horizon)
@@ -330,6 +333,18 @@ class FastGnutellaEngine:
         self.protocol.fill_random(node, self._bootstrap_rng)
 
     def _toggle(self, node: NodeId) -> None:
+        """Flip ``node`` online or offline, first queuing its next transition.
+
+        A user has one transition pending at a time. The next one is queued
+        through ``self._toggle``, looked up per call, so a wrapper installed
+        over the method sees every transition; the one argument is what the
+        event-stream digest hashes.
+        """
+        cursor = self._churn_cursor
+        i = cursor[node]
+        if i < self.churn_offsets[node + 1]:
+            cursor[node] = i + 1
+            self.sim.schedule_at(self.churn_times[i], self._toggle, node)
         if self.arrays.online[node]:
             self._logoff(node)
         else:
@@ -482,28 +497,35 @@ class FastGnutellaEngine:
     # Run loop
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Schedule the whole churn timeline without executing any of it.
+        """Queue each user's log-in and first transition, executing nothing.
 
-        Splitting scheduling from execution lets a caller drive the world
-        incrementally with :meth:`advance` (the ``repro.serve`` front end
-        paces simulated time against the wall clock this way). The kernel
-        guarantees that N incremental ``run(until=...)`` calls execute the
-        exact same event sequence as one call to the horizon, so chunked
-        advancement is digest-identical to :meth:`run`.
+        The churn timeline stays in the columns: a user has one transition
+        pending at a time, and each toggle queues the next, so the heap
+        holds at most one log-in per initially online user plus one entry
+        per user, whatever the horizon. Splitting scheduling from execution
+        lets a caller drive the world incrementally with :meth:`advance`
+        (the ``repro.serve`` front end paces simulated time against the
+        wall clock this way). The kernel guarantees that N incremental
+        ``run(until=...)`` calls execute the exact same event sequence as
+        one call to the horizon, so chunked advancement is digest-identical
+        to :meth:`run`.
         """
         if self._ran:
             raise ConfigurationError("engine instances are single-use; build a new one")
         self._ran = True
-        # One bound method per handler for the whole timeline, not one per
-        # event; looked up here, so wrappers installed before start() apply.
+        # One bound method per handler for all of start()'s events; looked
+        # up here, so wrappers installed before start() apply.
         login, toggle = self._login, self._toggle
         times, offsets = self.churn_times, self.churn_offsets
+        cursor = self._churn_cursor
         for user, online in enumerate(self.initially_online):
             node = NodeId(user)
             if online:
                 self.sim.schedule(0.0, login, node)
-            for t in times[offsets[user] : offsets[user + 1]]:
-                self.sim.schedule_at(t, toggle, node)
+            first = offsets[user]
+            if first < offsets[user + 1]:
+                cursor[user] = first + 1
+                self.sim.schedule_at(times[first], toggle, node)
 
     def advance(self, until: float) -> float:
         """Execute events up to ``min(until, horizon)``; returns the clock.

@@ -12,7 +12,9 @@ per-user set copies of the libraries come back (about 200 bytes per
 took the build from 28 to 33 bytes per entry, and ran three idle full
 collections in a 20,000-peer build), or if answering queries starts to
 leave per-item state behind (a cached holder set per item asked about grew
-a 10,000-peer run by ~13 MiB in its first quarter hour).
+a 10,000-peer run by ~13 MiB in its first quarter hour). Churn stays in its
+columns: ``start()`` queues one transition per user, not the whole timeline
+(which grew with the horizon, 15 MiB for the paper's four days).
 """
 
 import json
@@ -28,6 +30,7 @@ import pytest
 import repro
 
 from repro.bench.scale import scale_config
+from repro.experiments.common import preset_config
 from repro.gnutella.config import GnutellaConfig
 from repro.gnutella.fast import FastGnutellaEngine
 from repro.types import HOUR
@@ -46,6 +49,15 @@ MAX_LONG_RUN_BYTES = 16 * 2**20
 
 #: Bytes 2,000 served queries for distinct items may leave allocated.
 MAX_SERVE_BYTES = 64 * 2**10
+
+#: Bytes ``start()`` may queue for the paper's 2,000 peers over four days:
+#: 0.72 MiB, 3,007 events (15.0 MiB, 65,289 events, with the whole churn
+#: timeline queued up front).
+MAX_PAPER_START_BYTES = 2**20
+
+#: Bytes ``start()`` may queue for 20,000 peers over 48 hours: 7.35 MiB
+#: (76.3 MiB with the whole timeline queued).
+MAX_LONG_START_BYTES = 10 * 2**20
 
 
 def test_engine_build_memory_per_library_entry():
@@ -136,6 +148,31 @@ def test_long_run_memory_stays_flat():
     """The scale tier's full horizon asks about tens of thousands of items."""
     added = _run_bytes(scale_config(20_000, 0))
     assert added <= MAX_LONG_RUN_BYTES, f"advance added {added / 2**20:.1f} MiB"
+
+
+def _start_bytes(config: GnutellaConfig) -> int:
+    """Traced bytes ``start()`` leaves allocated: the events it queues."""
+    engine = FastGnutellaEngine(config)
+    tracemalloc.start()
+    try:
+        engine.start()
+        added, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return added
+
+
+def test_start_queues_one_transition_per_user():
+    config = preset_config("paper", seed=0)
+    assert config.dynamic and config.horizon == 96 * HOUR
+    added = _start_bytes(config)
+    assert added <= MAX_PAPER_START_BYTES, f"start() queued {added / 2**20:.2f} MiB"
+
+
+@pytest.mark.slow
+def test_long_horizon_start_stays_small():
+    added = _start_bytes(replace(scale_config(20_000, 0), horizon=48 * HOUR))
+    assert added <= MAX_LONG_START_BYTES, f"start() queued {added / 2**20:.2f} MiB"
 
 
 def test_serving_distinct_items_keeps_nothing():
